@@ -329,6 +329,36 @@ mod tests {
         assert!(summary.exec.index_probes > 0);
     }
 
+    /// `index_probes` counts aggregate calls answered by an index, once per
+    /// call: the healers' area-of-effect enumerations (`enum_probes`) and the
+    /// sweep's per-output look-ups are not further aggregate evaluations, so
+    /// the index-served share of a roster with healers never exceeds 1.
+    #[test]
+    fn healer_rosters_count_one_index_probe_per_aggregate_call() {
+        let config = ScenarioConfig {
+            units: 120,
+            density: 0.05,
+            seed: 4,
+            formation: Formation::Scattered,
+            ..ScenarioConfig::default()
+        };
+        let scenario = BattleScenario::generate(config);
+        for mode in [ExecMode::Indexed, ExecMode::Compiled] {
+            let mut sim = scenario.build_simulation(mode);
+            let mut enum_probes = 0;
+            for _ in 0..30 {
+                let exec = sim.step().unwrap().exec;
+                assert!(
+                    exec.index_probes + exec.shared_hits + exec.naive_scans
+                        <= exec.aggregate_probes,
+                    "{mode:?}: {exec:?}"
+                );
+                enum_probes += exec.enum_probes;
+            }
+            assert!(enum_probes > 0, "{mode:?}: no healer enumerated an aura");
+        }
+    }
+
     #[test]
     fn measurements_expose_figure10_metrics() {
         let m = run_battle(40, 0.02, ExecMode::Indexed, 3, 7);

@@ -6,9 +6,14 @@
 //! per script install instead: it flattens the normalised action tree into a
 //! [`CompiledScript`] — a flat instruction array over virtual registers with
 //! a constant pool, pre-resolved [`AttrId`] attribute slots, and aggregate /
-//! perform *call sites* whose argument registers, parameter names, filter
-//! analyses and effect attribute ids are all computed ahead of time — so no
-//! name lookup survives into the per-unit hot loop of the VM (`vm` module).
+//! perform *call sites* whose argument registers and *closed code* are all
+//! computed ahead of time — so no name lookup survives into the per-unit hot
+//! loop of the VM (`vm` module).  The closed code ([`crate::closed`]) is what
+//! a call evaluates *behind* its instruction: the probe rectangle and
+//! categorical constraint values of the definition's filter analysis, an
+//! `ArgBest` winner's output terms, a perform clause's target key / area
+//! bounds / filter / effect values.  The query is fixed per call site and
+//! only the unit varies, so all of it is interpreted here, once.
 //!
 //! Compilation is semantically conservative: every construct the evaluator
 //! of `sgl-lang` supports is lowered to an instruction that calls the *same*
@@ -29,11 +34,13 @@ use std::fmt;
 
 use sgl_env::{AttrId, Schema, Value};
 use sgl_lang::ast::{Action, AggCall, BinOp, CmpOp, Cond, Term, VarRef};
-use sgl_lang::builtins::Registry;
+use sgl_lang::builtins::{AggSpec, Registry};
 use sgl_lang::normalize::NormalScript;
 
+use crate::closed::{ClosedCond, ClosedTerm, Lowerer};
 use crate::config::SpatialAttrs;
 use crate::filter::{analyze_filter, FilterAnalysis};
+use crate::planner::{plan_aggregate, AggStrategy};
 
 /// A virtual register index.  Registers hold `ScriptValue`s and are written
 /// exactly once per unit execution before any read (the compiler emits
@@ -133,29 +140,67 @@ pub(crate) enum Instr {
     Return,
 }
 
-/// One aggregate call site: the pre-resolved name and argument registers.
-/// The definition and its physical plan are looked up once per tick (the
-/// cost-based planner may switch backends between ticks), never per unit.
+/// The four probe-rectangle bounds of a filter analysis, in the order
+/// `x_lo, x_hi, y_lo, y_hi`.
+pub(crate) type RectCode = [ClosedTerm; 4];
+
+/// What one index probe of an aggregate call site evaluates, as closed code
+/// lowered from the definition's [`FilterAnalysis`] — the same analysis
+/// `plan_aggregate` stores on the site's `PlannedAggregate`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Prologue {
+    /// The analysis this code was lowered from; a run checks it against the
+    /// tick's plan before trusting the code.
+    pub(crate) analysis: FilterAnalysis,
+    /// `(equal, value)` per categorical constraint, in partition-signature
+    /// order ([`FilterAnalysis::cat_constraints`]).
+    pub(crate) required: Vec<(bool, ClosedTerm)>,
+    /// The probe rectangle, when the filter bounds one.
+    pub(crate) rect: Option<RectCode>,
+    /// `ArgBest` sites: `(field name, term over the winning row)`.
+    pub(crate) outputs: Vec<(String, ClosedTerm)>,
+}
+
+/// One aggregate call site: the pre-resolved name, argument registers and
+/// probe prologue.  The definition and its physical plan are looked up once
+/// per tick (the cost-based planner may switch backends between ticks),
+/// never per unit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AggSite {
     /// Aggregate name (also the memo/observation key).
     pub(crate) name: String,
     /// Argument registers, in call order.
     pub(crate) args: Vec<Reg>,
+    /// Declared parameters after the implicit unit (the flat call arity).
+    pub(crate) arity: usize,
+    /// Probe code; `None` when the definition only ever scans.
+    pub(crate) prologue: Option<Prologue>,
 }
 
-/// One compiled effect clause of a perform site: the original filter (for
-/// the per-target residual check), its ahead-of-time [`FilterAnalysis`]
-/// (computed per *install*, not per unit per tick as the interpreter does)
-/// and the effect assignments with attribute ids already resolved.
+/// How a perform clause finds its candidate rows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ClauseTarget {
+    /// `e.key = term`: one key look-up.
+    Key(ClosedTerm),
+    /// A conjunctive filter with a full rectangle: spatial enumeration
+    /// (when the configuration enables the area-of-effect index).
+    Rect(RectCode),
+    /// Every row.
+    Scan,
+}
+
+/// One compiled effect clause of a perform site: candidate enumeration, the
+/// per-candidate filter and the effect assignments, all as closed code with
+/// attribute ids resolved (per *install*, not per unit per tick as the
+/// interpreter does).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CompiledClause {
+    /// Candidate enumeration.
+    pub(crate) target: ClauseTarget,
     /// The clause filter, evaluated per candidate row.
-    pub(crate) filter: Cond,
-    /// Pre-computed index analysis of the filter.
-    pub(crate) analysis: FilterAnalysis,
-    /// `(attribute id, attribute name, value term)` per effect.
-    pub(crate) effects: Vec<(AttrId, String, Term)>,
+    pub(crate) filter: ClosedCond,
+    /// `(attribute id, value term)` per effect.
+    pub(crate) effects: Vec<(AttrId, ClosedTerm)>,
 }
 
 /// One perform call site: argument registers plus a snapshot of the action
@@ -164,12 +209,54 @@ pub(crate) struct CompiledClause {
 pub(crate) struct PerformSite {
     /// Action name (for arity errors and display).
     pub(crate) name: String,
-    /// Parameter names of the definition (first is the implicit unit).
-    pub(crate) params: Vec<String>,
+    /// Declared parameters after the implicit unit (the flat call arity).
+    pub(crate) arity: usize,
     /// Argument registers, in call order.
     pub(crate) args: Vec<Reg>,
     /// Compiled effect clauses.
     pub(crate) clauses: Vec<CompiledClause>,
+}
+
+/// Name tables shared by a script body and the closed code of its call
+/// sites: referenced registry constants (resolved once per shard run) and
+/// display names of referenced attributes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Names {
+    /// Names of referenced registry constants.
+    pub(crate) const_names: Vec<String>,
+    /// Display names for the referenced attributes.
+    pub(crate) attr_names: Vec<(AttrId, String)>,
+}
+
+impl Names {
+    pub(crate) fn const_idx(&mut self, name: &str) -> Result<u16, CompileError> {
+        let idx = match self.const_names.iter().position(|n| n == name) {
+            Some(i) => i,
+            None => {
+                self.const_names.push(name.to_string());
+                self.const_names.len() - 1
+            }
+        };
+        u16::try_from(idx).map_err(|_| CompileError::Unsupported("too many constant names".into()))
+    }
+
+    pub(crate) fn attr_id(&mut self, schema: &Schema, name: &str) -> Result<AttrId, CompileError> {
+        let id = schema
+            .attr_id(name)
+            .ok_or_else(|| CompileError::Unsupported(format!("unknown attribute `{name}`")))?;
+        if !self.attr_names.iter().any(|(a, _)| *a == id) {
+            self.attr_names.push((id, name.to_string()));
+        }
+        Ok(id)
+    }
+
+    pub(crate) fn attr_name(&self, attr: AttrId) -> &str {
+        self.attr_names
+            .iter()
+            .find(|(a, _)| *a == attr)
+            .map(|(_, n)| n.as_str())
+            .unwrap_or("?")
+    }
 }
 
 /// A script lowered to register bytecode.  Everything here is immutable,
@@ -183,12 +270,10 @@ pub struct CompiledScript {
     pub(crate) name: String,
     /// Literal constant pool.
     pub(crate) consts: Vec<Value>,
-    /// Names of referenced registry constants (resolved once per shard run).
-    pub(crate) const_names: Vec<String>,
+    /// Constant and attribute name tables (body and call-site code).
+    pub(crate) names: Names,
     /// Record field names referenced by `Field` instructions.
     pub(crate) field_names: Vec<String>,
-    /// Display names for the unit attributes referenced by `UnitAttr`.
-    pub(crate) attr_names: Vec<(AttrId, String)>,
     /// Placeholder field names `_0`, `_1`, ... shared by tuple literals.
     pub(crate) placeholder_names: Vec<String>,
     /// The flat instruction array.
@@ -216,7 +301,8 @@ impl CompiledScript {
 
     /// One human-readable line per aggregate call site, keyed by aggregate
     /// name — the engine's `explain()` attaches these as `↳ compiled:`
-    /// annotations under the matching cost lines.
+    /// annotations under the matching cost lines.  Each line ends with the
+    /// closed code one probe of the site evaluates.
     pub fn agg_site_lines(&self) -> Vec<(String, String)> {
         self.agg_sites
             .iter()
@@ -224,38 +310,94 @@ impl CompiledScript {
             .map(|(i, site)| {
                 (
                     site.name.clone(),
-                    format!("site #{i} {}({})", site.name, regs_list(&site.args)),
-                )
-            })
-            .collect()
-    }
-
-    /// One human-readable line per perform call site, keyed by action name.
-    pub fn perform_site_lines(&self) -> Vec<(String, String)> {
-        self.perform_sites
-            .iter()
-            .enumerate()
-            .map(|(i, site)| {
-                let shapes: Vec<&str> = site.clauses.iter().map(clause_shape).collect();
-                (
-                    site.name.clone(),
                     format!(
-                        "site #{i} {}({}) [{}]",
+                        "site #{i} {}({}) {}",
                         site.name,
                         regs_list(&site.args),
-                        shapes.join(", ")
+                        self.prologue_text(site)
                     ),
                 )
             })
             .collect()
     }
 
-    fn attr_name(&self, attr: AttrId) -> &str {
-        self.attr_names
+    /// One human-readable line per perform call site, keyed by action name,
+    /// with each clause's enumeration, filter and effect code.
+    pub fn perform_site_lines(&self) -> Vec<(String, String)> {
+        self.perform_sites
             .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, n)| n.as_str())
-            .unwrap_or("?")
+            .enumerate()
+            .map(|(i, site)| {
+                let shapes: Vec<&str> = site.clauses.iter().map(clause_shape).collect();
+                let clauses: Vec<String> =
+                    site.clauses.iter().map(|c| self.clause_text(c)).collect();
+                (
+                    site.name.clone(),
+                    format!(
+                        "site #{i} {}({}) [{}] {}",
+                        site.name,
+                        regs_list(&site.args),
+                        shapes.join(", "),
+                        clauses.join(" | ")
+                    ),
+                )
+            })
+            .collect()
+    }
+
+    fn rect_text(&self, [x_lo, x_hi, y_lo, y_hi]: &RectCode) -> String {
+        let n = &self.names;
+        format!(
+            "rect x[{} .. {}] y[{} .. {}]",
+            x_lo.show(n),
+            x_hi.show(n),
+            y_lo.show(n),
+            y_hi.show(n)
+        )
+    }
+
+    /// The probe code of an aggregate site: categorical constraints, the
+    /// rectangle and (for `ArgBest`) the winner's output terms.
+    fn prologue_text(&self, site: &AggSite) -> String {
+        let Some(prologue) = &site.prologue else {
+            return "scan".into();
+        };
+        let mut parts = Vec::new();
+        for (c, (equal, code)) in prologue
+            .analysis
+            .cat_constraints()
+            .iter()
+            .zip(&prologue.required)
+        {
+            let op = if *equal { "=" } else { "!=" };
+            parts.push(format!("e.{} {op} [{}]", c.attr, code.show(&self.names)));
+        }
+        if let Some(rect) = &prologue.rect {
+            parts.push(self.rect_text(rect));
+        }
+        for (field, code) in &prologue.outputs {
+            parts.push(format!("{field} := [{}]", code.show(&self.names)));
+        }
+        if parts.is_empty() {
+            "all rows".into()
+        } else {
+            parts.join(" ")
+        }
+    }
+
+    fn clause_text(&self, clause: &CompiledClause) -> String {
+        let n = &self.names;
+        let mut parts = Vec::new();
+        match &clause.target {
+            ClauseTarget::Key(key) => parts.push(format!("key[{}]", key.show(n))),
+            ClauseTarget::Rect(rect) => parts.push(self.rect_text(rect)),
+            ClauseTarget::Scan => {}
+        }
+        parts.push(format!("filter[{}]", clause.filter.show(n)));
+        for (attr, code) in &clause.effects {
+            parts.push(format!("{} := [{}]", n.attr_name(*attr), code.show(n)));
+        }
+        parts.join(" ")
     }
 }
 
@@ -266,16 +408,14 @@ fn regs_list(regs: &[Reg]) -> String {
 
 /// Shape of a compiled clause, as the candidate enumerator will treat it.
 fn clause_shape(clause: &CompiledClause) -> &'static str {
-    if clause.analysis.key_eq.is_some() {
-        "targeted"
-    } else if clause.analysis.has_rect() && clause.analysis.conjunctive {
-        "rect"
-    } else {
-        "scan"
+    match clause.target {
+        ClauseTarget::Key(_) => "targeted",
+        ClauseTarget::Rect(_) => "rect",
+        ClauseTarget::Scan => "scan",
     }
 }
 
-fn bin_symbol(op: BinOp) -> &'static str {
+pub(crate) fn bin_symbol(op: BinOp) -> &'static str {
     match op {
         BinOp::Add => "+",
         BinOp::Sub => "-",
@@ -285,7 +425,7 @@ fn bin_symbol(op: BinOp) -> &'static str {
     }
 }
 
-fn cmp_symbol(op: CmpOp) -> &'static str {
+pub(crate) fn cmp_symbol(op: CmpOp) -> &'static str {
     match op {
         CmpOp::Eq => "=",
         CmpOp::Ne => "!=",
@@ -313,7 +453,7 @@ impl fmt::Display for CompiledScript {
         for (i, v) in self.consts.iter().enumerate() {
             writeln!(f, "  const c{i} = {v}")?;
         }
-        for (i, n) in self.const_names.iter().enumerate() {
+        for (i, n) in self.names.const_names.iter().enumerate() {
             writeln!(f, "  name  n{i} = {n}")?;
         }
         for (pc, instr) in self.instrs.iter().enumerate() {
@@ -322,11 +462,13 @@ impl fmt::Display for CompiledScript {
                 Instr::Const { dst, idx } => {
                     writeln!(f, "r{dst} = c{idx} ({})", self.consts[*idx as usize])?
                 }
-                Instr::NamedConst { dst, idx } => {
-                    writeln!(f, "r{dst} = n{idx} ({})", self.const_names[*idx as usize])?
-                }
+                Instr::NamedConst { dst, idx } => writeln!(
+                    f,
+                    "r{dst} = n{idx} ({})",
+                    self.names.const_names[*idx as usize]
+                )?,
                 Instr::UnitAttr { dst, attr } => {
-                    writeln!(f, "r{dst} = u.{}", self.attr_name(*attr))?
+                    writeln!(f, "r{dst} = u.{}", self.names.attr_name(*attr))?
                 }
                 Instr::UnitKey { dst } => writeln!(f, "r{dst} = unit-key")?,
                 Instr::Random { dst, seed } => writeln!(f, "r{dst} = random(r{seed})")?,
@@ -377,6 +519,20 @@ impl fmt::Display for CompiledScript {
                 Instr::Return => writeln!(f, "return")?,
             }
         }
+        // What each call site evaluates behind its instruction.
+        for (i, site) in self.agg_sites.iter().enumerate() {
+            writeln!(f, "  agg#{i} {}: {}", site.name, self.prologue_text(site))?;
+        }
+        for (i, site) in self.perform_sites.iter().enumerate() {
+            for (c, clause) in site.clauses.iter().enumerate() {
+                writeln!(
+                    f,
+                    "  perform#{i} {} clause {c}: {}",
+                    site.name,
+                    self.clause_text(clause)
+                )?;
+            }
+        }
         Ok(())
     }
 }
@@ -392,9 +548,8 @@ struct Compiler<'a> {
     spatial: Option<SpatialAttrs>,
     instrs: Vec<Instr>,
     consts: Vec<Value>,
-    const_names: Vec<String>,
+    names: Names,
     field_names: Vec<String>,
-    attr_names: Vec<(AttrId, String)>,
     agg_sites: Vec<AggSite>,
     perform_sites: Vec<PerformSite>,
     /// Lexical scope: let-bound names to the register holding their value.
@@ -425,9 +580,8 @@ pub fn compile_script(
         spatial,
         instrs: Vec::new(),
         consts: Vec::new(),
-        const_names: Vec::new(),
+        names: Names::default(),
         field_names: Vec::new(),
-        attr_names: Vec::new(),
         agg_sites: Vec::new(),
         perform_sites: Vec::new(),
         scope: Vec::new(),
@@ -442,9 +596,8 @@ pub fn compile_script(
     Ok(CompiledScript {
         name: name.to_string(),
         consts: c.consts,
-        const_names: c.const_names,
+        names: c.names,
         field_names: c.field_names,
-        attr_names: c.attr_names,
         placeholder_names: (0..c.max_tuple_arity).map(|i| format!("_{i}")).collect(),
         instrs: c.instrs,
         num_regs: c.num_regs,
@@ -486,31 +639,12 @@ impl<'a> Compiler<'a> {
         Self::u16_index(self.consts.len() - 1, "constants")
     }
 
-    fn const_name_idx(&mut self, name: &str) -> Result<u16, CompileError> {
-        if let Some(i) = self.const_names.iter().position(|n| n == name) {
-            return Self::u16_index(i, "constant names");
-        }
-        self.const_names.push(name.to_string());
-        Self::u16_index(self.const_names.len() - 1, "constant names")
-    }
-
     fn field_idx(&mut self, name: &str) -> Result<u16, CompileError> {
         if let Some(i) = self.field_names.iter().position(|n| n == name) {
             return Self::u16_index(i, "field names");
         }
         self.field_names.push(name.to_string());
         Self::u16_index(self.field_names.len() - 1, "field names")
-    }
-
-    fn attr_id(&mut self, name: &str) -> Result<AttrId, CompileError> {
-        let id = self
-            .schema
-            .attr_id(name)
-            .ok_or_else(|| CompileError::Unsupported(format!("unknown attribute `{name}`")))?;
-        if !self.attr_names.iter().any(|(a, _)| *a == id) {
-            self.attr_names.push((id, name.to_string()));
-        }
-        Ok(id)
     }
 
     fn new_label(&mut self) -> Label {
@@ -644,7 +778,7 @@ impl<'a> Compiler<'a> {
                 Ok(dst)
             }
             Term::Var(VarRef::Unit(attr)) => {
-                let attr = self.attr_id(attr)?;
+                let attr = self.names.attr_id(self.schema, attr)?;
                 let dst = self.fresh()?;
                 self.instrs.push(Instr::UnitAttr { dst, attr });
                 Ok(dst)
@@ -658,7 +792,7 @@ impl<'a> Compiler<'a> {
                     return Ok(reg);
                 }
                 if self.registry.constant(name).is_some() {
-                    let idx = self.const_name_idx(name)?;
+                    let idx = self.names.const_idx(name)?;
                     let dst = self.fresh()?;
                     self.instrs.push(Instr::NamedConst { dst, idx });
                     return Ok(dst);
@@ -745,21 +879,59 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_agg_call(&mut self, call: &AggCall) -> Result<Reg, CompileError> {
-        if self.registry.aggregate(&call.name).is_none() {
+        let registry = self.registry;
+        let Some(def) = registry.aggregate(&call.name) else {
             return Err(CompileError::Unsupported(format!(
                 "unknown aggregate `{}`",
                 call.name
             )));
-        }
+        };
         let args = call
             .args
             .iter()
             .map(|a| self.compile_call_arg(a))
             .collect::<Result<Vec<_>, _>>()?;
+        // The plan `plan_registry` derives for this definition under the
+        // same schema and spatial mapping: its analysis is what a probe
+        // evaluates, its strategy says whether one is ever issued.
+        let plan = plan_aggregate(def, self.schema, self.spatial);
+        let params = def.params.get(1..).unwrap_or_default();
+        let prologue = if plan.strategy == AggStrategy::Scan {
+            None
+        } else {
+            let mut lower = Lowerer {
+                registry,
+                schema: self.schema,
+                params,
+                names: &mut self.names,
+            };
+            let required = plan
+                .analysis
+                .cat_constraints()
+                .iter()
+                .map(|c| Ok((c.equal, lower.unit_term(&c.value)?)))
+                .collect::<Result<Vec<_>, CompileError>>()?;
+            let rect = lower_rect(&mut lower, &plan.analysis)?;
+            let outputs = match (&plan.strategy, &def.spec) {
+                (AggStrategy::KdNearest, AggSpec::ArgBest { outputs, .. }) => outputs
+                    .iter()
+                    .map(|(name, term, _)| Ok((name.clone(), lower.row_term(term)?)))
+                    .collect::<Result<Vec<_>, CompileError>>()?,
+                _ => Vec::new(),
+            };
+            Some(Prologue {
+                analysis: plan.analysis,
+                required,
+                rect,
+                outputs,
+            })
+        };
         let site = Self::u16_index(self.agg_sites.len(), "aggregate call sites")?;
         self.agg_sites.push(AggSite {
             name: call.name.clone(),
             args,
+            arity: params.len(),
+            prologue,
         });
         let dst = self.fresh()?;
         self.instrs.push(Instr::CallAgg { dst, site });
@@ -767,41 +939,80 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_perform(&mut self, name: &str, args: &[Term]) -> Result<(), CompileError> {
-        let def = self
-            .registry
+        let registry = self.registry;
+        let def = registry
             .action(name)
-            .ok_or_else(|| CompileError::Unsupported(format!("unknown action `{name}`")))?
-            .clone();
+            .ok_or_else(|| CompileError::Unsupported(format!("unknown action `{name}`")))?;
         let args = args
             .iter()
             .map(|a| self.compile_call_arg(a))
             .collect::<Result<Vec<_>, _>>()?;
+        let params = def.params.get(1..).unwrap_or_default();
         let mut clauses = Vec::with_capacity(def.clauses.len());
         for clause in &def.clauses {
             let analysis = analyze_filter(&clause.filter, self.schema, self.spatial);
+            let mut lower = Lowerer {
+                registry,
+                schema: self.schema,
+                params,
+                names: &mut self.names,
+            };
+            let target = if let Some(key) = &analysis.key_eq {
+                ClauseTarget::Key(lower.unit_term(key)?)
+            } else if analysis.conjunctive {
+                match lower_rect(&mut lower, &analysis)? {
+                    Some(rect) => ClauseTarget::Rect(rect),
+                    None => ClauseTarget::Scan,
+                }
+            } else {
+                ClauseTarget::Scan
+            };
+            let filter = lower.row_cond(&clause.filter)?;
             let effects = clause
                 .effects
                 .iter()
                 .map(|(attr_name, term)| {
-                    Ok((self.attr_id(attr_name)?, attr_name.clone(), term.clone()))
+                    let code = lower.row_term(term)?;
+                    Ok((lower.names.attr_id(lower.schema, attr_name)?, code))
                 })
                 .collect::<Result<Vec<_>, CompileError>>()?;
             clauses.push(CompiledClause {
-                filter: clause.filter.clone(),
-                analysis,
+                target,
+                filter,
                 effects,
             });
         }
         let site = Self::u16_index(self.perform_sites.len(), "perform call sites")?;
         self.perform_sites.push(PerformSite {
             name: def.name.clone(),
-            params: def.params.clone(),
+            arity: params.len(),
             args,
             clauses,
         });
         self.instrs.push(Instr::Perform { site });
         Ok(())
     }
+}
+
+/// Lower the probe rectangle of an analysis, when it bounds one.
+fn lower_rect(
+    lower: &mut Lowerer<'_>,
+    analysis: &FilterAnalysis,
+) -> Result<Option<RectCode>, CompileError> {
+    let (Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) = (
+        &analysis.x_lo,
+        &analysis.x_hi,
+        &analysis.y_lo,
+        &analysis.y_hi,
+    ) else {
+        return Ok(None);
+    };
+    Ok(Some([
+        lower.unit_term(x_lo)?,
+        lower.unit_term(x_hi)?,
+        lower.unit_term(y_lo)?,
+        lower.unit_term(y_hi)?,
+    ]))
 }
 
 #[cfg(test)]
@@ -849,7 +1060,7 @@ mod tests {
         for site in &c.perform_sites {
             assert!(!site.clauses.is_empty());
             for clause in &site.clauses {
-                assert!(clause.analysis.key_eq.is_some());
+                assert!(matches!(clause.target, ClauseTarget::Key(_)));
                 assert!(!clause.effects.is_empty());
             }
         }
@@ -891,7 +1102,7 @@ mod tests {
     #[test]
     fn named_constants_are_resolved_per_run_not_inlined() {
         let c = compiled("main(u) { perform MoveInDirection(u, _ARMOR, 0); }");
-        assert_eq!(c.const_names, vec!["_ARMOR".to_string()]);
+        assert_eq!(c.names.const_names, vec!["_ARMOR".to_string()]);
         assert!(c
             .instrs
             .iter()

@@ -400,6 +400,10 @@ pub struct TickStats {
     pub naive_scans: usize,
     /// Aggregate evaluations answered from an index structure.
     pub index_probes: usize,
+    /// Spatial enumerations issued by area-of-effect action clauses (one
+    /// per partition tree queried) — not aggregate evaluations, so they are
+    /// counted apart from `index_probes`.
+    pub enum_probes: usize,
     /// Aggregate evaluations answered from the per-tick memo cache.
     pub shared_hits: usize,
     /// Number of index structures built this tick.
@@ -430,6 +434,7 @@ impl TickStats {
         self.aggregate_probes += other.aggregate_probes;
         self.naive_scans += other.naive_scans;
         self.index_probes += other.index_probes;
+        self.enum_probes += other.enum_probes;
         self.shared_hits += other.shared_hits;
         self.indexes_built += other.indexes_built;
         self.effect_rows += other.effect_rows;

@@ -61,13 +61,24 @@ impl FilterAnalysis {
         self.conjunctive && self.residual.is_empty()
     }
 
+    /// The constraints that define the partition signature of the hash
+    /// layer: one per distinct categorical attribute (the first conjunct
+    /// mentioning it — built-ins never carry two), sorted by attribute
+    /// name.  Probes evaluate exactly these values, in this order.
+    pub fn cat_constraints(&self) -> Vec<&CatConstraint> {
+        let mut cats: Vec<&CatConstraint> = self.cats.iter().collect();
+        cats.sort_by(|a, b| a.attr.cmp(&b.attr));
+        cats.dedup_by(|later, first| later.attr == first.attr);
+        cats
+    }
+
     /// Names of the categorical attributes, sorted and deduplicated — the
     /// partition signature of the hash layer.
     pub fn cat_attr_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.cats.iter().map(|c| c.attr.clone()).collect();
-        names.sort();
-        names.dedup();
-        names
+        self.cat_constraints()
+            .iter()
+            .map(|c| c.attr.clone())
+            .collect()
     }
 }
 

@@ -25,7 +25,7 @@
 use rustc_hash::FxHashMap;
 use std::hash::Hasher;
 
-use sgl_env::{AttrId, EnvTable, Value};
+use sgl_env::{AttrId, EnvTable, RowRef, Value};
 use sgl_index::divisible::DivAcc;
 use sgl_index::grid::DynamicAggGrid;
 use sgl_index::kdtree::KdTree;
@@ -43,7 +43,7 @@ use crate::config::{ExecConfig, MaintenancePolicy, SpatialAttrs, TickStats};
 use crate::error::{ExecError, Result};
 use crate::filter::FilterAnalysis;
 use crate::planner::{AggStrategy, PlannedAggregate};
-use crate::stats::TickObservations;
+use crate::stats::{CallObs, TickObservations};
 
 // ---------------------------------------------------------------------------
 // Value fingerprints (the categorical hash layer's key type)
@@ -110,10 +110,11 @@ fn fingerprint_terms(terms: &[Term]) -> u64 {
 }
 
 /// A categorical constraint evaluated for one probing unit: required (or
-/// forbidden) value per partition attribute, in `cat_attr_ids` order.
+/// forbidden) value per partition attribute, in
+/// [`FilterAnalysis::cat_constraints`] order.
 type RequiredValues = Vec<(bool, Value)>;
 
-fn partition_matches(partition_values: &[Value], required: &RequiredValues) -> bool {
+fn partition_matches(partition_values: &[Value], required: &[(bool, Value)]) -> bool {
     for (i, (equal, value)) in required.iter().enumerate() {
         let actual = &partition_values[i];
         if *equal != same_value(actual, value) {
@@ -185,7 +186,7 @@ fn fingerprint_term(term: &Term) -> u64 {
 /// fingerprint ask the same question, so a materialized answer keyed by it
 /// can be served verbatim.  (Same collision tradeoff as the partition
 /// fingerprints above.)
-fn subscription_fp(required: &RequiredValues, rect: Option<&Rect>) -> u64 {
+fn subscription_fp(required: &[(bool, Value)], rect: Option<&Rect>) -> u64 {
     let mut h = rustc_hash::FxHasher::default();
     for (equal, v) in required {
         h.write_u8(*equal as u8);
@@ -1037,8 +1038,135 @@ fn served_backend_of(kind: AggStructureKind) -> PhysicalBackend {
 
 /// A categorical partition of the environment.
 struct Partition {
+    /// Fingerprint of `values` (the hash layer's key).
+    fp: u64,
     values: Vec<Value>,
     rows: Vec<u32>,
+}
+
+/// The partitions of the environment under one categorical signature, in
+/// ascending fingerprint order — the deterministic probe and fold order.
+struct PartitionSet {
+    /// Fingerprint of the signature's attribute ids.
+    sig: u64,
+    parts: Vec<Partition>,
+}
+
+/// The query-dependent arguments of one probe.  The *caller* evaluates them
+/// for the probing unit — closed code in the bytecode VM, `eval_term` in the
+/// tree-walking adapter ([`TickIndexes::evaluate`]) — so the probe itself
+/// costs what its structure costs.
+pub(crate) struct ProbeArgs<'p> {
+    /// The probe rectangle (`None` when the filter bounds none).
+    pub(crate) rect: Option<Rect>,
+    /// `(equal, value)` per categorical constraint, in
+    /// [`FilterAnalysis::cat_constraints`] order.
+    pub(crate) required: &'p [(bool, Value)],
+}
+
+/// What [`TickIndexes::probe`] left in its output value.
+pub(crate) enum Probed {
+    /// The complete answer.
+    Answer,
+    /// An `ArgBest` probe found this winning row: the caller evaluates the
+    /// definition's output terms on it (with its own evaluator).  Without a
+    /// winner the probe writes the defaults and reports [`Probed::Answer`].
+    Winner(usize),
+}
+
+/// Keys into the per-tick (rebuild-side) structure caches of one call site,
+/// resolved on the first probe that needs them.
+struct PerTickKeys {
+    /// Index of the site's [`PartitionSet`].
+    part_set: usize,
+    /// The channel terms its structures carry.
+    channels: Vec<Term>,
+    /// Fingerprint of `channels` (aggregate-structure cache key).
+    chan_fp: u64,
+    /// Fingerprint of each channel term (sweep cache key per output).
+    channel_fps: Vec<u64>,
+}
+
+/// Distinct `required` vectors whose matching grid list a site caches
+/// (beyond that — constraints on a high-cardinality value — probes filter
+/// into scratch instead of growing the cache).
+const MATCHING_CACHE_CAP: usize = 8;
+
+/// One call site's index-side state for a run: everything that is fixed
+/// while only the probing unit varies, looked up once instead of per probe.
+pub(crate) struct ProbeSite<'a> {
+    /// The maintained grids serving the site, if any.
+    maintained: Option<&'a DynAggState>,
+    /// Whether the site serves from a materialized answer store.
+    materialized: bool,
+    /// That store (absent until the first maintenance pass creates it).
+    mat_state: Option<&'a MatAggState>,
+    /// Sorted matching grid fingerprints per distinct `required` vector
+    /// (two in a two-player battle).
+    matching: Vec<(RequiredValues, Vec<u64>)>,
+    per_tick: Option<PerTickKeys>,
+    /// The planner observations of this site's probes; the owner folds them
+    /// into its [`TickObservations`] when the run ends.
+    pub(crate) obs: CallObs,
+}
+
+/// Writes a record answer into an existing `ScriptValue`, keeping the
+/// field-name strings (and the vector) of a previous answer with the same
+/// layout — the per-unit case, since a call site's destination register
+/// always receives the same record shape.
+pub(crate) struct RecordOut<'o> {
+    out: &'o mut ScriptValue,
+    next: usize,
+}
+
+impl<'o> RecordOut<'o> {
+    pub(crate) fn begin(out: &'o mut ScriptValue, len: usize) -> RecordOut<'o> {
+        if !matches!(out, ScriptValue::Record(_)) {
+            *out = ScriptValue::Record(Vec::with_capacity(len));
+        }
+        RecordOut { out, next: 0 }
+    }
+
+    pub(crate) fn put(&mut self, name: &str, value: Value) {
+        if let ScriptValue::Record(fields) = self.out {
+            match fields.get_mut(self.next) {
+                Some((n, v)) if n == name => *v = value,
+                _ => {
+                    fields.truncate(self.next);
+                    fields.push((name.to_string(), value));
+                }
+            }
+            self.next += 1;
+        }
+    }
+
+    pub(crate) fn finish(self) {
+        if let ScriptValue::Record(fields) = self.out {
+            fields.truncate(self.next);
+        }
+    }
+}
+
+/// Copy a stored answer into `out` (field names reused, see [`RecordOut`]).
+fn copy_answer(answer: &ScriptValue, out: &mut ScriptValue) {
+    match answer {
+        ScriptValue::Record(fields) => {
+            let mut rec = RecordOut::begin(out, fields.len());
+            for (name, value) in fields {
+                rec.put(name, value.clone());
+            }
+            rec.finish();
+        }
+        ScriptValue::Scalar(_) => *out = answer.clone(),
+    }
+}
+
+fn fold_extremum(best: &mut Option<f64>, value: f64, minimize: bool) {
+    *best = Some(match *best {
+        None => value,
+        Some(b) if minimize => b.min(value),
+        Some(b) => b.max(value),
+    });
 }
 
 /// The per-tick cache of index structures (the rebuild side of the policy
@@ -1051,8 +1179,8 @@ pub struct TickIndexes<'a> {
     spatial: SpatialAttrs,
     config: &'a ExecConfig,
     constants: &'a FxHashMap<String, Value>,
-    /// partition signature fp → (attr ids, partition fp → partition).
-    partitions: FxHashMap<u64, FxHashMap<u64, Partition>>,
+    /// One partition set per categorical signature seen this tick.
+    part_sets: Vec<PartitionSet>,
     /// (sig fp, partition fp, channel fp) → aggregate structure.
     agg_structs: FxHashMap<(u64, u64, u64), Box<dyn AggIndex + Send>>,
     /// (sig fp, partition fp) → (kD-tree, row ids in tree order).
@@ -1064,7 +1192,8 @@ pub struct TickIndexes<'a> {
     /// Statistics.
     pub stats: TickStats,
     /// Per-call-site observations (selectivity, rect areas, served
-    /// backends) for the cost-based planner's statistics feedback loop.
+    /// backends) of the probes issued through [`TickIndexes::evaluate`].
+    /// Probes issued through a caller-held `ProbeSite` accumulate there.
     pub obs: TickObservations,
     /// Lazily extracted position columns: one page walk per tick the first
     /// time a structure build or sweep batch needs points, then every
@@ -1077,8 +1206,8 @@ pub struct TickIndexes<'a> {
     /// — shared across the partitions of one tick so a multi-partition
     /// build still evaluates each term once per row.
     chan_cols: FxHashMap<u64, Vec<f64>>,
-    /// Scratch: matching grid fingerprints of the current probe, reused
-    /// across probes to keep the hot path allocation-free.
+    /// Scratch: matching grid fingerprints of a probe whose constraint
+    /// values overflowed the site's cache.
     fps_scratch: Vec<u64>,
     /// Scratch: the running accumulator of the current divisible probe.
     probe_acc: DivAcc,
@@ -1121,7 +1250,7 @@ impl IndexManager {
             spatial,
             config,
             constants,
-            partitions: FxHashMap::default(),
+            part_sets: Vec::new(),
             agg_structs: FxHashMap::default(),
             kd_trees: FxHashMap::default(),
             enum_trees: FxHashMap::default(),
@@ -1137,6 +1266,13 @@ impl IndexManager {
             mat_writes: Vec::new(),
         }))
     }
+}
+
+fn positions_of(positions: &Option<(Vec<f64>, Vec<f64>)>) -> Result<(&[f64], &[f64])> {
+    positions
+        .as_ref()
+        .map(|(xs, ys)| (xs.as_slice(), ys.as_slice()))
+        .ok_or_else(|| ExecError::Internal("positions vanished after ensure".into()))
 }
 
 impl<'a> TickIndexes<'a> {
@@ -1159,107 +1295,260 @@ impl<'a> TickIndexes<'a> {
         Ok(())
     }
 
-    /// Evaluate (and cache) a channel term's per-row values; returns the
-    /// cache key.
-    fn ensure_chan_col(&mut self, term: &Term) -> Result<u64> {
-        let fp = fingerprint_term(term);
+    /// Evaluate (and cache) a channel term's per-row values under its
+    /// fingerprint.
+    fn ensure_chan_col(&mut self, term: &Term, fp: u64) -> Result<()> {
         if !self.chan_cols.contains_key(&fp) {
             let col = channel_column(term, self.table, self.constants)?;
             self.chan_cols.insert(fp, col);
         }
-        Ok(fp)
+        Ok(())
     }
 
-    /// Ensure the partition map for a set of categorical attributes exists;
-    /// returns its signature fingerprint.
-    fn ensure_partitions(&mut self, cat_attrs: &[AttrId]) -> Result<u64> {
+    /// Ensure the partition set for a set of categorical attributes exists;
+    /// returns its index in `part_sets`.
+    fn ensure_partitions(&mut self, cat_attrs: &[AttrId]) -> Result<usize> {
         let sig = fingerprint_attrs(cat_attrs);
-        if !self.partitions.contains_key(&sig) {
-            // One page walk per categorical column, then fingerprint from
-            // the extracted vectors — the per-row value vector is only
-            // materialised the first time a partition appears.
-            let cat_cols: Vec<Vec<Value>> = cat_attrs
-                .iter()
-                .map(|a| self.table.column_values(*a))
-                .collect::<std::result::Result<_, _>>()?;
-            let mut map: FxHashMap<u64, Partition> = FxHashMap::default();
-            for idx in 0..self.table.len() {
-                let mut h = rustc_hash::FxHasher::default();
-                for col in &cat_cols {
-                    hash_value(&mut h, &col[idx]);
-                }
-                let fp = h.finish();
-                map.entry(fp)
-                    .or_insert_with(|| Partition {
-                        values: cat_cols.iter().map(|col| col[idx].clone()).collect(),
-                        rows: Vec::new(),
-                    })
-                    .rows
-                    .push(idx as u32);
-            }
-            self.partitions.insert(sig, map);
+        if let Some(idx) = self.part_sets.iter().position(|s| s.sig == sig) {
+            return Ok(idx);
         }
-        Ok(sig)
+        // One page walk per categorical column, then fingerprint from the
+        // extracted vectors — the per-row value vector is only materialised
+        // the first time a partition appears.
+        let cat_cols: Vec<Vec<Value>> = cat_attrs
+            .iter()
+            .map(|a| self.table.column_values(*a))
+            .collect::<std::result::Result<_, _>>()?;
+        let mut slots: FxHashMap<u64, usize> = FxHashMap::default();
+        let mut parts: Vec<Partition> = Vec::new();
+        for idx in 0..self.table.len() {
+            let mut h = rustc_hash::FxHasher::default();
+            for col in &cat_cols {
+                hash_value(&mut h, &col[idx]);
+            }
+            let fp = h.finish();
+            let slot = *slots.entry(fp).or_insert_with(|| {
+                parts.push(Partition {
+                    fp,
+                    values: cat_cols.iter().map(|col| col[idx].clone()).collect(),
+                    rows: Vec::new(),
+                });
+                parts.len() - 1
+            });
+            parts[slot].rows.push(idx as u32);
+        }
+        parts.sort_unstable_by_key(|p| p.fp);
+        self.part_sets.push(PartitionSet { sig, parts });
+        Ok(self.part_sets.len() - 1)
     }
 
-    /// Partition fingerprints under a signature, with deterministic order.
-    fn partition_fps(&self, sig: u64) -> Vec<u64> {
-        let mut fps: Vec<u64> = self
-            .partitions
-            .get(&sig)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        fps.sort_unstable();
-        fps
+    /// The maintained state for an aggregate, when the policy (or the
+    /// cost-based choice) keeps one.
+    fn maintained(&self, plan: &PlannedAggregate) -> Option<&'a DynAggState> {
+        if plan_is_maintained(self.config.policy, plan) {
+            self.manager.state(&plan.def.name)
+        } else {
+            None
+        }
     }
 
-    fn partition_rows(&self, sig: u64, fp: u64) -> Vec<u32> {
-        self.partitions
-            .get(&sig)
-            .and_then(|m| m.get(&fp))
-            .map(|p| p.rows.clone())
-            .unwrap_or_default()
+    /// The sorted fingerprints of the maintained grids whose partitions
+    /// match `required`: cached per distinct constraint vector, so a probe
+    /// neither filters nor sorts.
+    fn matching_fps<'s>(
+        cache: &'s mut Vec<(RequiredValues, Vec<u64>)>,
+        scratch: &'s mut Vec<u64>,
+        state: &DynAggState,
+        required: &[(bool, Value)],
+    ) -> &'s [u64] {
+        let same = |cached: &RequiredValues| {
+            cached.len() == required.len()
+                && cached
+                    .iter()
+                    .zip(required)
+                    .all(|((e1, v1), (e2, v2))| e1 == e2 && same_value(v1, v2))
+        };
+        if let Some(hit) = cache.iter().position(|(r, _)| same(r)) {
+            return &cache[hit].1;
+        }
+        let fill = |fps: &mut Vec<u64>| {
+            fps.clear();
+            fps.extend(state.grids.keys().copied().filter(|fp| {
+                state
+                    .partition_values
+                    .get(fp)
+                    .is_some_and(|values| partition_matches(values, required))
+            }));
+            fps.sort_unstable();
+        };
+        if cache.len() < MATCHING_CACHE_CAP {
+            let mut fps = Vec::new();
+            fill(&mut fps);
+            cache.push((required.to_vec(), fps));
+            let last = cache.len() - 1;
+            &cache[last].1
+        } else {
+            fill(scratch);
+            scratch
+        }
     }
 
-    fn partition_values(&self, sig: u64, fp: u64) -> Vec<Value> {
-        self.partitions
-            .get(&sig)
-            .and_then(|m| m.get(&fp))
-            .map(|p| p.values.clone())
-            .unwrap_or_default()
+    /// Resolve the site's keys into the per-tick structure caches.
+    fn ensure_per_tick<'s>(
+        &mut self,
+        site: &'s mut ProbeSite<'a>,
+        planned: &PlannedAggregate,
+    ) -> Result<&'s PerTickKeys> {
+        if site.per_tick.is_none() {
+            let cat_attrs = resolve_cat_attrs(&planned.analysis, self.table)?;
+            let part_set = self.ensure_partitions(&cat_attrs)?;
+            let channels = planned.channel_terms();
+            site.per_tick = Some(PerTickKeys {
+                part_set,
+                chan_fp: fingerprint_terms(&channels),
+                channel_fps: channels.iter().map(fingerprint_term).collect(),
+                channels,
+            });
+        }
+        site.per_tick
+            .as_ref()
+            .ok_or_else(|| ExecError::Internal("per-tick keys vanished after ensure".into()))
     }
 
-    /// Resolve the categorical attribute ids of an analysis (sorted by name,
-    /// matching the order of `required_values`).
-    fn cat_attr_ids(&self, analysis: &FilterAnalysis) -> Result<Vec<AttrId>> {
-        resolve_cat_attrs(analysis, self.table)
+    /// Ensure the aggregate structure of one partition exists; returns its
+    /// cache key.
+    fn ensure_agg_struct(
+        &mut self,
+        kind: AggStructureKind,
+        keys: &PerTickKeys,
+        part: usize,
+    ) -> Result<(u64, u64, u64)> {
+        let set = &self.part_sets[keys.part_set];
+        let key = (set.sig, set.parts[part].fp, keys.chan_fp);
+        if self.agg_structs.contains_key(&key) {
+            return Ok(key);
+        }
+        for (term, fp) in keys.channels.iter().zip(&keys.channel_fps) {
+            self.ensure_chan_col(term, *fp)?;
+        }
+        self.ensure_positions()?;
+        let (xs, ys) = positions_of(&self.positions)?;
+        let index_rows: Vec<IndexRow> = self.part_sets[keys.part_set].parts[part]
+            .rows
+            .iter()
+            .map(|&r| {
+                let r = r as usize;
+                let values: Vec<f64> = keys
+                    .channel_fps
+                    .iter()
+                    .map(|fp| self.chan_cols[fp][r])
+                    .collect();
+                IndexRow::new(r as u64, Point2::new(xs[r], ys[r]), values)
+            })
+            .collect();
+        self.stats.indexes_built += 1;
+        self.agg_structs
+            .insert(key, build_agg_index(kind, keys.channels.len(), &index_rows));
+        Ok(key)
+    }
+
+    fn ensure_kd_tree(&mut self, part_set: usize, part: usize) -> Result<(u64, u64)> {
+        let set = &self.part_sets[part_set];
+        let key = (set.sig, set.parts[part].fp);
+        if self.kd_trees.contains_key(&key) {
+            return Ok(key);
+        }
+        // Local ids in ascending key order: the kD-tree breaks exact
+        // distance ties toward the smallest local id, which this ordering
+        // turns into the reference "smallest key wins" rule.  Keys are
+        // unique, so the unstable sort is deterministic.
+        self.ensure_keys()?;
+        self.ensure_positions()?;
+        let mut rows = self.part_sets[part_set].parts[part].rows.clone();
+        let keys = self
+            .keys
+            .as_ref()
+            .ok_or_else(|| ExecError::Internal("keys vanished after ensure".into()))?;
+        rows.sort_unstable_by_key(|r| keys[*r as usize]);
+        let (xs, ys) = positions_of(&self.positions)?;
+        let points: Vec<Point2> = rows
+            .iter()
+            .map(|&r| Point2::new(xs[r as usize], ys[r as usize]))
+            .collect();
+        self.stats.indexes_built += 1;
+        self.kd_trees.insert(key, (KdTree::build(&points), rows));
+        Ok(key)
+    }
+
+    /// Ensure an enumeration range tree over a partition (used for indexed
+    /// area-of-effect actions, §5.4).
+    pub fn ensure_enum_tree(&mut self, cat_attrs: &[AttrId], part_fp: u64) -> Result<(u64, u64)> {
+        let set = self.ensure_partitions(cat_attrs)?;
+        let key = (self.part_sets[set].sig, part_fp);
+        if !self.enum_trees.contains_key(&key) {
+            self.ensure_positions()?;
+            let (xs, ys) = positions_of(&self.positions)?;
+            let rows: Vec<u32> = self.part_sets[set]
+                .parts
+                .iter()
+                .find(|p| p.fp == part_fp)
+                .map(|p| p.rows.clone())
+                .unwrap_or_default();
+            let points: Vec<Point2> = rows
+                .iter()
+                .map(|&r| Point2::new(xs[r as usize], ys[r as usize]))
+                .collect();
+            self.stats.indexes_built += 1;
+            self.enum_trees
+                .insert(key, (RangeTree2D::build(&points), rows));
+        }
+        Ok(key)
+    }
+
+    /// Enumerate the row ids of a partition falling inside a rectangle.
+    pub fn enum_query(
+        &mut self,
+        cat_attrs: &[AttrId],
+        part_fp: u64,
+        rect: &Rect,
+    ) -> Result<Vec<u32>> {
+        let key = self.ensure_enum_tree(cat_attrs, part_fp)?;
+        let (tree, rows) = self
+            .enum_trees
+            .get(&key)
+            .ok_or_else(|| ExecError::Internal("enumeration tree vanished after ensure".into()))?;
+        self.stats.enum_probes += 1;
+        Ok(tree
+            .query(rect)
+            .into_iter()
+            .map(|i| rows[i as usize])
+            .collect())
+    }
+
+    /// Partition fingerprints for a categorical signature (building the
+    /// partition set first), in the deterministic ascending order.
+    pub fn partition_fps_for(&mut self, cat_attrs: &[AttrId]) -> Result<Vec<u64>> {
+        let set = self.ensure_partitions(cat_attrs)?;
+        Ok(self.part_sets[set].parts.iter().map(|p| p.fp).collect())
     }
 
     /// Evaluate the categorical constraint values for one probing unit, in
-    /// the same order as [`Self::cat_attr_ids`].
+    /// [`FilterAnalysis::cat_constraints`] order.
     fn required_values(
         analysis: &FilterAnalysis,
         unit_ctx: &EvalContext<'_>,
     ) -> Result<RequiredValues> {
         let mut no_aggs = NoAggregates;
-        let names = analysis.cat_attr_names();
-        let mut out = Vec::with_capacity(names.len());
-        for name in names {
-            // If several constraints mention the same attribute we evaluate
-            // the first (our builtins never have more than one per attribute).
-            // The names come from the constraint list itself, so the find
-            // can only miss on an internal invariant violation.
-            let Some(c) = analysis.cats.iter().find(|c| c.attr == name) else {
-                return Err(ExecError::Internal(format!(
-                    "categorical constraint for `{name}` disappeared from its analysis"
-                )));
-            };
-            let v = eval_term(&c.value, unit_ctx, &mut no_aggs)?
-                .as_scalar()?
-                .clone();
-            out.push((c.equal, v));
-        }
-        Ok(out)
+        analysis
+            .cat_constraints()
+            .into_iter()
+            .map(|c| {
+                let v = eval_term(&c.value, unit_ctx, &mut no_aggs)?
+                    .as_scalar()?
+                    .clone();
+                Ok((c.equal, v))
+            })
+            .collect()
     }
 
     /// Evaluate the rectangle of an analysis for one probing unit.  `None`
@@ -1288,199 +1577,111 @@ impl<'a> TickIndexes<'a> {
         )))
     }
 
-    /// The maintained state for an aggregate, when the policy (or the
-    /// cost-based choice) keeps one.
-    fn maintained(&self, plan: &PlannedAggregate) -> Option<&'a DynAggState> {
-        if plan_is_maintained(self.config.policy, plan) {
-            self.manager.state(&plan.def.name)
-        } else {
-            None
+    /// Open the per-run probe state of a call site.  `None` when the site
+    /// is answered by the caller's scan (a `Scan` strategy, or a cost-based
+    /// choice of `Scan`: identical results, no structure built).
+    pub(crate) fn open_site(&self, planned: &PlannedAggregate) -> Option<ProbeSite<'a>> {
+        let scan_chosen = planned
+            .choice
+            .as_ref()
+            .is_some_and(|c| c.backend == PhysicalBackend::Scan);
+        if scan_chosen || !planned.is_indexed() {
+            return None;
         }
+        let materialized = plan_is_materialized(planned);
+        Some(ProbeSite {
+            maintained: self.maintained(planned),
+            materialized,
+            mat_state: if materialized {
+                self.manager.materialized.get(&planned.def.name)
+            } else {
+                None
+            },
+            matching: Vec::new(),
+            per_tick: None,
+            obs: CallObs::default(),
+        })
     }
 
-    /// Fill `fps` with the fingerprints of the maintained grids whose
-    /// partitions match the constraints, in deterministic (sorted) order —
-    /// the allocation-free replacement for collecting matching grid
-    /// references on every probe.
-    fn fill_matching_fps(state: &DynAggState, required: &RequiredValues, fps: &mut Vec<u64>) {
-        fps.clear();
-        fps.extend(state.grids.keys().copied().filter(|fp| {
-            state
-                .partition_values
-                .get(fp)
-                .is_some_and(|values| partition_matches(values, required))
-        }));
-        fps.sort_unstable();
-    }
-
-    fn ensure_agg_struct(
-        &mut self,
-        kind: AggStructureKind,
-        sig: u64,
-        part_fp: u64,
-        channels: &[Term],
-    ) -> Result<(u64, u64, u64)> {
-        let key = (sig, part_fp, fingerprint_terms(channels));
-        if self.agg_structs.contains_key(&key) {
-            return Ok(key);
-        }
-        let rows = self.partition_rows(sig, part_fp);
-        let chan_fps: Vec<u64> = channels
-            .iter()
-            .map(|c| self.ensure_chan_col(c))
-            .collect::<Result<_>>()?;
-        self.ensure_positions()?;
-        let index_rows: Vec<IndexRow> = {
-            let (xs, ys) = self
-                .positions
-                .as_ref()
-                .ok_or_else(|| ExecError::Internal("positions vanished after ensure".into()))?;
-            rows.iter()
-                .map(|&r| {
-                    let r = r as usize;
-                    let point = Point2::new(xs[r], ys[r]);
-                    let values: Vec<f64> =
-                        chan_fps.iter().map(|fp| self.chan_cols[fp][r]).collect();
-                    IndexRow::new(r as u64, point, values)
-                })
-                .collect()
-        };
-        self.stats.indexes_built += 1;
-        self.agg_structs
-            .insert(key, build_agg_index(kind, channels.len(), &index_rows));
-        Ok(key)
-    }
-
-    fn ensure_kd_tree(&mut self, sig: u64, part_fp: u64) -> Result<()> {
-        if self.kd_trees.contains_key(&(sig, part_fp)) {
-            return Ok(());
-        }
-        let mut rows = self.partition_rows(sig, part_fp);
-        // Local ids in ascending key order: the kD-tree breaks exact
-        // distance ties toward the smallest local id, which this ordering
-        // turns into the reference "smallest key wins" rule.  Keys are
-        // unique, so the unstable sort is deterministic.
-        self.ensure_keys()?;
-        self.ensure_positions()?;
-        let points: Vec<Point2> = {
-            let keys = self
-                .keys
-                .as_ref()
-                .ok_or_else(|| ExecError::Internal("keys vanished after ensure".into()))?;
-            rows.sort_unstable_by_key(|r| keys[*r as usize]);
-            let (xs, ys) = self
-                .positions
-                .as_ref()
-                .ok_or_else(|| ExecError::Internal("positions vanished after ensure".into()))?;
-            rows.iter()
-                .map(|&r| Point2::new(xs[r as usize], ys[r as usize]))
-                .collect()
-        };
-        self.stats.indexes_built += 1;
-        self.kd_trees
-            .insert((sig, part_fp), (KdTree::build(&points), rows));
-        Ok(())
-    }
-
-    /// Ensure an enumeration range tree over a partition (used for indexed
-    /// area-of-effect actions, §5.4).
-    pub fn ensure_enum_tree(&mut self, cat_attrs: &[AttrId], part_fp: u64) -> Result<(u64, u64)> {
-        let sig = self.ensure_partitions(cat_attrs)?;
-        if !self.enum_trees.contains_key(&(sig, part_fp)) {
-            let rows = self.partition_rows(sig, part_fp);
-            self.ensure_positions()?;
-            let points: Vec<Point2> = {
-                let (xs, ys) = self
-                    .positions
-                    .as_ref()
-                    .ok_or_else(|| ExecError::Internal("positions vanished after ensure".into()))?;
-                rows.iter()
-                    .map(|&r| Point2::new(xs[r as usize], ys[r as usize]))
-                    .collect()
-            };
-            self.stats.indexes_built += 1;
-            self.enum_trees
-                .insert((sig, part_fp), (RangeTree2D::build(&points), rows));
-        }
-        Ok((sig, part_fp))
-    }
-
-    /// Enumerate the row ids of a partition falling inside a rectangle.
-    pub fn enum_query(
-        &mut self,
-        cat_attrs: &[AttrId],
-        part_fp: u64,
-        rect: &Rect,
-    ) -> Result<Vec<u32>> {
-        let key = self.ensure_enum_tree(cat_attrs, part_fp)?;
-        let (tree, rows) = self
-            .enum_trees
-            .get(&key)
-            .ok_or_else(|| ExecError::Internal("enumeration tree vanished after ensure".into()))?;
-        self.stats.index_probes += 1;
-        Ok(tree
-            .query(rect)
-            .into_iter()
-            .map(|i| rows[i as usize])
-            .collect())
-    }
-
-    /// Partition fingerprints for a categorical signature (building the
-    /// partition map first).
-    pub fn partition_fps_for(&mut self, cat_attrs: &[AttrId]) -> Result<Vec<u64>> {
-        let sig = self.ensure_partitions(cat_attrs)?;
-        Ok(self.partition_fps(sig))
-    }
-
-    /// Evaluate a planned aggregate for one probing unit through its index.
+    /// Evaluate a planned aggregate for one probing unit through its index
+    /// — the adapter of the tree-walking `ExecMode::Indexed` interpreter: it
+    /// evaluates the probe arguments with `eval_term` and issues the same
+    /// `TickIndexes::probe` the bytecode VM does.
     ///
     /// `ctx.bindings` must already hold the call's bound parameters (`range`
     /// etc.) and nothing else needs to be visible: built-in aggregate
     /// definitions are *closed* — their analysis terms reference parameters,
     /// `u.*`/`e.*` attributes and named constants only, never the calling
-    /// script's `let` bindings — so callers hand over their reusable
-    /// parameter map directly instead of this function cloning and merging
-    /// binding maps on every probe.
+    /// script's `let` bindings.
     pub fn evaluate(
         &mut self,
         planned: &PlannedAggregate,
         ctx: &EvalContext<'_>,
     ) -> Result<Option<ScriptValue>> {
-        // A cost-based choice of `Scan` sends the probe back to the caller's
-        // scan path (identical results, no structure built).
-        if planned
-            .choice
-            .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Scan)
-        {
+        let Some(mut site) = self.open_site(planned) else {
             return Ok(None);
+        };
+        let required = Self::required_values(&planned.analysis, ctx)?;
+        let args = ProbeArgs {
+            rect: Self::rect_for(&planned.analysis, ctx)?,
+            required: &required,
+        };
+        let mut out = ScriptValue::Record(Vec::new());
+        if let Probed::Winner(row) =
+            self.probe(planned, &mut site, ctx.unit, ctx.unit_key, &args, &mut out)?
+        {
+            let AggSpec::ArgBest { outputs, .. } = &planned.def.spec else {
+                return Err(ExecError::Internal(
+                    "winner row reported for a Simple aggregate".into(),
+                ));
+            };
+            let row_ctx = ctx.with_row(self.table.row(row));
+            let mut no_aggs = NoAggregates;
+            let mut rec = RecordOut::begin(&mut out, outputs.len());
+            for (name, term, _) in outputs {
+                let value = eval_term(term, &row_ctx, &mut no_aggs)?
+                    .as_scalar()?
+                    .clone();
+                rec.put(name, value);
+            }
+            rec.finish();
         }
-        if plan_is_materialized(planned) {
-            return self.eval_materialized(planned, ctx).map(Some);
+        self.obs.fold(&planned.def.name, &site.obs);
+        Ok(Some(out))
+    }
+
+    /// Answer one probe of an open call site into `out` — the one probe
+    /// implementation, shared by the VM and the interpreter's adapter.
+    pub(crate) fn probe(
+        &mut self,
+        planned: &PlannedAggregate,
+        site: &mut ProbeSite<'a>,
+        unit: RowRef<'_>,
+        unit_key: i64,
+        args: &ProbeArgs<'_>,
+        out: &mut ScriptValue,
+    ) -> Result<Probed> {
+        if site.materialized {
+            self.eval_materialized(planned, site, unit, unit_key, args, out)?;
+            return Ok(Probed::Answer);
         }
         match &planned.strategy {
-            AggStrategy::Scan => Ok(None),
+            AggStrategy::Scan => Err(ExecError::Internal(
+                "index probe on a scan-only call site".into(),
+            )),
             AggStrategy::DivisibleTree {
                 channels,
                 output_channels,
-            } => self
-                .eval_divisible(planned, channels, output_channels, ctx)
-                .map(Some),
-            AggStrategy::KdNearest => self.eval_nearest(planned, ctx).map(Some),
-            AggStrategy::SweepMinMax => self.eval_min_max(planned, ctx).map(Some),
+            } => {
+                self.eval_divisible(planned, site, channels.len(), output_channels, args, out)?;
+                Ok(Probed::Answer)
+            }
+            AggStrategy::KdNearest => self.eval_nearest(planned, site, unit, args, out),
+            AggStrategy::SweepMinMax => {
+                self.eval_min_max(planned, site, unit, unit_key, args, out)?;
+                Ok(Probed::Answer)
+            }
         }
-    }
-
-    /// Look up one subscriber's materialized answer (shared manager borrow,
-    /// so the reference outlives `&mut self` calls on the cache).
-    fn mat_entry(&self, name: &str, key: i64, sub_fp: u64) -> Option<&'a MatEntry> {
-        let state = self.manager.materialized.get(name)?;
-        state
-            .entries
-            .get(&key)?
-            .iter()
-            .find(|(fp, _)| *fp == sub_fp)
-            .map(|(_, e)| e)
     }
 
     /// Take the tick's queued materialized writes (the absorb seam).
@@ -1494,43 +1695,35 @@ impl<'a> TickIndexes<'a> {
     fn eval_materialized(
         &mut self,
         planned: &PlannedAggregate,
-        ctx: &EvalContext<'_>,
-    ) -> Result<ScriptValue> {
-        let required = Self::required_values(&planned.analysis, ctx)?;
-        let rect = Self::rect_for(&planned.analysis, ctx)?;
-        let sub_fp = subscription_fp(&required, rect.as_ref());
-        let key = ctx.unit_key;
-        if let Some(entry) = self.mat_entry(&planned.def.name, key, sub_fp) {
+        site: &mut ProbeSite<'a>,
+        unit: RowRef<'_>,
+        unit_key: i64,
+        args: &ProbeArgs<'_>,
+        out: &mut ScriptValue,
+    ) -> Result<()> {
+        let sub_fp = subscription_fp(args.required, args.rect.as_ref());
+        let live = site
+            .mat_state
+            .and_then(|state| state.entries.get(&unit_key))
+            .and_then(|subs| subs.iter().find(|(fp, _)| *fp == sub_fp));
+        if let Some((_, entry)) = live {
             self.stats.index_probes += 1;
             self.stats.materialized_serves += 1;
-            self.obs
-                .record_served(&planned.def.name, PhysicalBackend::Materialized);
-            return Ok(entry.answer.clone());
+            site.obs.add_served(PhysicalBackend::Materialized);
+            copy_answer(&entry.answer, out);
+            return Ok(());
         }
-        match &planned.strategy {
+        let (support, extrema) = match &planned.strategy {
             AggStrategy::DivisibleTree {
                 channels,
                 output_channels,
             } => {
-                let answer = self.eval_divisible(planned, channels, output_channels, ctx)?;
+                self.eval_divisible(planned, site, channels.len(), output_channels, args, out)?;
                 // `probe_acc` still holds this probe's fold.
-                let support = self.probe_acc.count() as i64;
-                self.mat_writes.push(MatWrite {
-                    name: planned.def.name.clone(),
-                    key,
-                    sub_fp,
-                    entry: MatEntry {
-                        required,
-                        rect,
-                        answer: answer.clone(),
-                        support,
-                        extrema: Vec::new(),
-                    },
-                });
-                Ok(answer)
+                (self.probe_acc.count() as i64, Vec::new())
             }
             AggStrategy::SweepMinMax => {
-                let answer = self.eval_min_max(planned, ctx)?;
+                self.eval_min_max(planned, site, unit, unit_key, args, out)?;
                 let outputs = match &planned.def.spec {
                     AggSpec::Simple { outputs } => outputs,
                     AggSpec::ArgBest { .. } => {
@@ -1541,7 +1734,7 @@ impl<'a> TickIndexes<'a> {
                 };
                 // A field bitwise-equal to its default cannot be told apart
                 // from an empty answer: mark it not insert-patchable.
-                let extrema: Vec<Option<f64>> = match &answer {
+                let extrema: Vec<Option<f64>> = match &*out {
                     ScriptValue::Record(fields) => outputs
                         .iter()
                         .zip(fields)
@@ -1552,51 +1745,59 @@ impl<'a> TickIndexes<'a> {
                         .collect(),
                     _ => return Err(ExecError::Internal("min/max answer is not a record".into())),
                 };
-                self.mat_writes.push(MatWrite {
-                    name: planned.def.name.clone(),
-                    key,
-                    sub_fp,
-                    entry: MatEntry {
-                        required,
-                        rect,
-                        answer: answer.clone(),
-                        support: 0,
-                        extrema,
-                    },
-                });
-                Ok(answer)
+                (0, extrema)
             }
-            _ => Err(ExecError::Internal(
-                "materialized choice on a non-materializable strategy".into(),
-            )),
-        }
+            _ => {
+                return Err(ExecError::Internal(
+                    "materialized choice on a non-materializable strategy".into(),
+                ))
+            }
+        };
+        self.mat_writes.push(MatWrite {
+            name: planned.def.name.clone(),
+            key: unit_key,
+            sub_fp,
+            entry: MatEntry {
+                required: args.required.to_vec(),
+                rect: args.rect,
+                answer: out.clone(),
+                support,
+                extrema,
+            },
+        });
+        Ok(())
     }
 
     fn eval_divisible(
         &mut self,
         planned: &PlannedAggregate,
-        channels: &[Term],
+        site: &mut ProbeSite<'a>,
+        channels: usize,
         output_channels: &[Option<usize>],
-        ctx: &EvalContext<'_>,
-    ) -> Result<ScriptValue> {
-        let required = Self::required_values(&planned.analysis, ctx)?;
-        let rect = Self::rect_for(&planned.analysis, ctx)?.unwrap_or(Rect::new(
+        args: &ProbeArgs<'_>,
+        out: &mut ScriptValue,
+    ) -> Result<()> {
+        let rect = args.rect.unwrap_or(Rect::new(
             f64::NEG_INFINITY,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::INFINITY,
         ));
-        self.probe_acc.reset(channels.len());
+        self.probe_acc.reset(channels);
 
-        let name = &planned.def.name;
         let (partitions, backend);
-        if let Some(state) = self.maintained(planned) {
-            Self::fill_matching_fps(state, &required, &mut self.fps_scratch);
-            for fp in &self.fps_scratch {
+        if let Some(state) = site.maintained {
+            let fps = Self::matching_fps(
+                &mut site.matching,
+                &mut self.fps_scratch,
+                state,
+                args.required,
+            );
+            for fp in fps {
                 let Some(grid) = state.grids.get(fp) else {
                     continue;
                 };
-                self.part_acc.reset(channels.len());
+                self.part_acc.reset(channels);
                 grid.probe_rect_into(&rect, &mut self.part_acc);
                 self.probe_acc.merge(&self.part_acc);
             }
@@ -1607,15 +1808,16 @@ impl<'a> TickIndexes<'a> {
             let kind = planned.structure(self.config).ok_or_else(|| {
                 ExecError::Internal("divisible strategy without a structure".into())
             })?;
-            let cat_attrs = self.cat_attr_ids(&planned.analysis)?;
-            let sig = self.ensure_partitions(&cat_attrs)?;
-            let fps = self.partition_fps(sig);
-            partitions = fps.len();
-            for part_fp in fps {
-                if !partition_matches(&self.partition_values(sig, part_fp), &required) {
+            let keys = self.ensure_per_tick(site, planned)?;
+            partitions = self.part_sets[keys.part_set].parts.len();
+            for part in 0..partitions {
+                if !partition_matches(
+                    &self.part_sets[keys.part_set].parts[part].values,
+                    args.required,
+                ) {
                     continue;
                 }
-                let key = self.ensure_agg_struct(kind, sig, part_fp, channels)?;
+                let key = self.ensure_agg_struct(kind, keys, part)?;
                 let index = self.agg_structs.get(&key).ok_or_else(|| {
                     ExecError::Internal("aggregate structure vanished after ensure".into())
                 })?;
@@ -1627,13 +1829,8 @@ impl<'a> TickIndexes<'a> {
         self.stats.index_probes += 1;
         let acc = &self.probe_acc;
         let rect_area = (rect.x_max - rect.x_min) * (rect.y_max - rect.y_min);
-        self.obs.record_index_probe(
-            name,
-            partitions,
-            backend,
-            acc.count().max(0.0) as u64,
-            rect_area,
-        );
+        site.obs
+            .add_index_probe(partitions, backend, acc.count().max(0.0) as u64, rect_area);
 
         let outputs = match &planned.def.spec {
             AggSpec::Simple { outputs } => outputs,
@@ -1643,7 +1840,7 @@ impl<'a> TickIndexes<'a> {
                 ))
             }
         };
-        let mut fields = Vec::with_capacity(outputs.len());
+        let mut rec = RecordOut::begin(out, outputs.len());
         for (o, chan) in outputs.iter().zip(output_channels) {
             let value = if acc.count() == 0.0 {
                 o.default.clone()
@@ -1661,20 +1858,23 @@ impl<'a> TickIndexes<'a> {
                     }
                 }
             };
-            fields.push((o.name.clone(), value));
+            rec.put(&o.name, value);
         }
-        Ok(ScriptValue::Record(fields))
+        rec.finish();
+        Ok(())
     }
 
     fn eval_nearest(
         &mut self,
         planned: &PlannedAggregate,
-        ctx: &EvalContext<'_>,
-    ) -> Result<ScriptValue> {
-        let required = Self::required_values(&planned.analysis, ctx)?;
+        site: &mut ProbeSite<'a>,
+        unit: RowRef<'_>,
+        args: &ProbeArgs<'_>,
+        out: &mut ScriptValue,
+    ) -> Result<Probed> {
         let query = Point2::new(
-            ctx.unit.get_f64(self.spatial.x).map_err(ExecError::from)?,
-            ctx.unit.get_f64(self.spatial.y).map_err(ExecError::from)?,
+            unit.get_f64(self.spatial.x).map_err(ExecError::from)?,
+            unit.get_f64(self.spatial.y).map_err(ExecError::from)?,
         );
         // Best candidate as (squared distance, unit key).  Across
         // partitions/grids, exact ties prefer the smaller key — the same
@@ -1688,11 +1888,15 @@ impl<'a> TickIndexes<'a> {
             }
         };
 
-        let name = &planned.def.name;
-        if let Some(state) = self.maintained(planned) {
+        if let Some(state) = site.maintained {
             use sgl_index::traits::SpatialIndex;
-            Self::fill_matching_fps(state, &required, &mut self.fps_scratch);
-            for fp in &self.fps_scratch {
+            let fps = Self::matching_fps(
+                &mut site.matching,
+                &mut self.fps_scratch,
+                state,
+                args.required,
+            );
+            for fp in fps {
                 let Some(grid) = state.grids.get(fp) else {
                     continue;
                 };
@@ -1701,23 +1905,19 @@ impl<'a> TickIndexes<'a> {
                 }
             }
             self.stats.maintained_probes += 1;
-            self.obs.record_partitioned_serve(
-                name,
-                state.grids.len(),
-                PhysicalBackend::MaintainedGrid,
-            );
+            site.obs
+                .add_partitioned_serve(state.grids.len(), PhysicalBackend::MaintainedGrid);
         } else {
-            self.obs.record_served(name, PhysicalBackend::KdTree);
-            let cat_attrs = self.cat_attr_ids(&planned.analysis)?;
-            let sig = self.ensure_partitions(&cat_attrs)?;
-            for part_fp in self.partition_fps(sig) {
-                if !partition_matches(&self.partition_values(sig, part_fp), &required) {
+            site.obs.add_served(PhysicalBackend::KdTree);
+            let part_set = self.ensure_per_tick(site, planned)?.part_set;
+            for part in 0..self.part_sets[part_set].parts.len() {
+                if !partition_matches(&self.part_sets[part_set].parts[part].values, args.required) {
                     continue;
                 }
-                self.ensure_kd_tree(sig, part_fp)?;
+                let key = self.ensure_kd_tree(part_set, part)?;
                 let (tree, rows) = self
                     .kd_trees
-                    .get(&(sig, part_fp))
+                    .get(&key)
                     .ok_or_else(|| ExecError::Internal("kd-tree vanished after ensure".into()))?;
                 if let Some((local_id, d2)) = tree.nearest(&query) {
                     let row = rows[local_id as usize] as usize;
@@ -1739,31 +1939,22 @@ impl<'a> TickIndexes<'a> {
                 ))
             }
         };
-        let mut no_aggs = NoAggregates;
-        let fields = match best {
+        match best {
             Some((_, key)) => {
                 let row = self.table.find_key_readonly(key).ok_or_else(|| {
                     ExecError::Internal("nearest hit vanished from the table".into())
                 })?;
-                let row_ctx = ctx.with_row(self.table.row(row));
-                outputs
-                    .iter()
-                    .map(|(name, term, _)| {
-                        Ok((
-                            name.clone(),
-                            eval_term(term, &row_ctx, &mut no_aggs)?
-                                .as_scalar()?
-                                .clone(),
-                        ))
-                    })
-                    .collect::<std::result::Result<Vec<_>, sgl_lang::LangError>>()?
+                Ok(Probed::Winner(row))
             }
-            None => outputs
-                .iter()
-                .map(|(n, _, d)| (n.clone(), d.clone()))
-                .collect(),
-        };
-        Ok(ScriptValue::Record(fields))
+            None => {
+                let mut rec = RecordOut::begin(out, outputs.len());
+                for (name, _, default) in outputs {
+                    rec.put(name, default.clone());
+                }
+                rec.finish();
+                Ok(Probed::Answer)
+            }
+        }
     }
 
     /// MIN/MAX aggregates: maintained grids answer them directly; under a
@@ -1773,64 +1964,57 @@ impl<'a> TickIndexes<'a> {
     fn eval_min_max(
         &mut self,
         planned: &PlannedAggregate,
-        ctx: &EvalContext<'_>,
-    ) -> Result<ScriptValue> {
+        site: &mut ProbeSite<'a>,
+        unit: RowRef<'_>,
+        unit_key: i64,
+        args: &ProbeArgs<'_>,
+        out: &mut ScriptValue,
+    ) -> Result<()> {
         let outputs = match &planned.def.spec {
-            AggSpec::Simple { outputs } => outputs.clone(),
+            AggSpec::Simple { outputs } => outputs,
             AggSpec::ArgBest { .. } => {
                 return Err(ExecError::Internal(
                     "min/max strategy on an ArgBest aggregate".into(),
                 ))
             }
         };
-        let rect = Self::rect_for(&planned.analysis, ctx)?
+        let rect = args
+            .rect
             .ok_or_else(|| ExecError::Internal("min/max strategy requires a rectangle".into()))?;
-        let required = Self::required_values(&planned.analysis, ctx)?;
+        let required = args.required;
 
-        let name = &planned.def.name;
-        self.obs
-            .record_rect_area(name, (rect.x_max - rect.x_min) * (rect.y_max - rect.y_min));
-        if let Some(state) = self.maintained(planned) {
-            self.obs.record_partitioned_serve(
-                name,
-                state.grids.len(),
-                PhysicalBackend::MaintainedGrid,
-            );
-            Self::fill_matching_fps(state, &required, &mut self.fps_scratch);
-            let mut fields = Vec::with_capacity(outputs.len());
+        site.obs
+            .add_rect_area((rect.x_max - rect.x_min) * (rect.y_max - rect.y_min));
+        if let Some(state) = site.maintained {
+            site.obs
+                .add_partitioned_serve(state.grids.len(), PhysicalBackend::MaintainedGrid);
+            let fps =
+                Self::matching_fps(&mut site.matching, &mut self.fps_scratch, state, required);
+            let mut rec = RecordOut::begin(out, outputs.len());
             for (channel, o) in outputs.iter().enumerate() {
                 let minimize = o.func == SimpleAgg::Min;
                 let mut best: Option<f64> = None;
-                for fp in &self.fps_scratch {
+                for fp in fps {
                     let Some(grid) = state.grids.get(fp) else {
                         continue;
                     };
                     if let Some(e) = grid.probe_extremum(&rect, channel, minimize) {
-                        best = Some(match best {
-                            None => e.value,
-                            Some(b) => {
-                                if minimize {
-                                    b.min(e.value)
-                                } else {
-                                    b.max(e.value)
-                                }
-                            }
-                        });
+                        fold_extremum(&mut best, e.value, minimize);
                     }
                 }
-                let value = match best {
-                    Some(v) => Value::Float(v),
-                    None => o.default.clone(),
-                };
-                fields.push((o.name.clone(), value));
+                rec.put(
+                    &o.name,
+                    best.map_or_else(|| o.default.clone(), Value::Float),
+                );
             }
+            rec.finish();
             self.stats.maintained_probes += 1;
             self.stats.index_probes += 1;
-            return Ok(ScriptValue::Record(fields));
+            return Ok(());
         }
 
-        let unit_x = ctx.unit.get_f64(self.spatial.x).map_err(ExecError::from)?;
-        let unit_y = ctx.unit.get_f64(self.spatial.y).map_err(ExecError::from)?;
+        let unit_x = unit.get_f64(self.spatial.x).map_err(ExecError::from)?;
+        let unit_y = unit.get_f64(self.spatial.y).map_err(ExecError::from)?;
         let rx = ((rect.x_max - rect.x_min) / 2.0).abs();
         let ry = ((rect.y_max - rect.y_min) / 2.0).abs();
         // The sweep batch assumes the rectangle is centred on the unit (true
@@ -1850,18 +2034,18 @@ impl<'a> TickIndexes<'a> {
             )
         });
         if !centred || quad_chosen {
-            self.obs.record_served(name, PhysicalBackend::QuadTree);
-            return self.eval_min_max_quadtree(planned, &outputs, &rect, &required);
+            site.obs.add_served(PhysicalBackend::QuadTree);
+            return self.eval_min_max_quadtree(planned, site, outputs, &rect, required, out);
         }
-        self.obs.record_served(name, PhysicalBackend::Sweep);
-        let cat_attrs = self.cat_attr_ids(&planned.analysis)?;
-        let sig = self.ensure_partitions(&cat_attrs)?;
-        let my_row = self.table.find_key_readonly(ctx.unit_key).ok_or_else(|| {
+        site.obs.add_served(PhysicalBackend::Sweep);
+        let keys = self.ensure_per_tick(site, planned)?;
+        let my_row = self.table.find_key_readonly(unit_key).ok_or_else(|| {
             ExecError::Internal("probing unit not present in the environment".into())
         })?;
 
-        let mut fields = Vec::with_capacity(outputs.len());
-        for o in &outputs {
+        let mut rec = RecordOut::begin(out, outputs.len());
+        for ((o, value_term), value_fp) in outputs.iter().zip(&keys.channels).zip(&keys.channel_fps)
+        {
             let minimize = o.func == SimpleAgg::Min;
             let kind = if minimize {
                 SweepKind::Min
@@ -1874,35 +2058,32 @@ impl<'a> TickIndexes<'a> {
             // sweep serves the whole batch.
             let sweep_fp = {
                 let mut h = rustc_hash::FxHasher::default();
-                h.write_u64(sig);
-                for (equal, v) in &required {
+                h.write_u64(self.part_sets[keys.part_set].sig);
+                for (equal, v) in required {
                     h.write_u8(*equal as u8);
                     hash_value(&mut h, v);
                 }
                 h.write_u64(((rx * 1e6).round() as i64) as u64);
                 h.write_u64(((ry * 1e6).round() as i64) as u64);
                 h.write_u8(minimize as u8);
-                h.write(format!("{:?}", o.value).as_bytes());
+                h.write_u64(*value_fp);
                 h.finish()
             };
             if !self.sweeps.contains_key(&sweep_fp) {
                 // Data points: all rows in matching partitions; queries: every
                 // row of the table (every unit of this type will probe).
-                let value_fp = self.ensure_chan_col(&o.value)?;
+                self.ensure_chan_col(value_term, *value_fp)?;
                 self.ensure_positions()?;
                 let mut data_points = Vec::new();
                 let mut data_values = Vec::new();
                 let mut data_rows: Vec<u32> = Vec::new();
-                let (xs, ys) = self
-                    .positions
-                    .as_ref()
-                    .ok_or_else(|| ExecError::Internal("positions vanished after ensure".into()))?;
-                let value_col = &self.chan_cols[&value_fp];
-                for part_fp in self.partition_fps(sig) {
-                    if !partition_matches(&self.partition_values(sig, part_fp), &required) {
+                let (xs, ys) = positions_of(&self.positions)?;
+                let value_col = &self.chan_cols[value_fp];
+                for part in &self.part_sets[keys.part_set].parts {
+                    if !partition_matches(&part.values, required) {
                         continue;
                     }
-                    for r in self.partition_rows(sig, part_fp) {
+                    for &r in &part.rows {
                         data_points.push(Point2::new(xs[r as usize], ys[r as usize]));
                         data_values.push(value_col[r as usize]);
                         data_rows.push(r);
@@ -1921,72 +2102,57 @@ impl<'a> TickIndexes<'a> {
                 self.stats.indexes_built += 1;
                 self.sweeps.insert(sweep_fp, remapped);
             }
-            self.stats.index_probes += 1;
             let result =
                 self.sweeps.get(&sweep_fp).ok_or_else(|| {
                     ExecError::Internal("sweep batch vanished after build".into())
                 })?[my_row];
-            let value = match result {
-                Some((v, _)) => Value::Float(v),
-                None => o.default.clone(),
-            };
-            fields.push((o.name.clone(), value));
+            rec.put(
+                &o.name,
+                result.map_or_else(|| o.default.clone(), |(v, _)| Value::Float(v)),
+            );
         }
-        Ok(ScriptValue::Record(fields))
+        rec.finish();
+        self.stats.index_probes += 1;
+        Ok(())
     }
 
     /// Quadtree path for MIN/MAX probes the sweep batch cannot serve.
     fn eval_min_max_quadtree(
         &mut self,
         planned: &PlannedAggregate,
+        site: &mut ProbeSite<'a>,
         outputs: &[sgl_lang::builtins::AggOutput],
         rect: &Rect,
-        required: &RequiredValues,
-    ) -> Result<ScriptValue> {
-        let channels = planned.channel_terms();
+        required: &[(bool, Value)],
+        out: &mut ScriptValue,
+    ) -> Result<()> {
         let kind = AggStructureKind::QuadTree { bucket: 8 };
-        let cat_attrs = self.cat_attr_ids(&planned.analysis)?;
-        let sig = self.ensure_partitions(&cat_attrs)?;
+        let keys = self.ensure_per_tick(site, planned)?;
+        let mut rec = RecordOut::begin(out, outputs.len());
+        // Field values double as the running extrema: start every output at
+        // "no candidate yet" and fold partition by partition.
         let mut best: Vec<Option<f64>> = vec![None; outputs.len()];
-        for part_fp in self.partition_fps(sig) {
-            if !partition_matches(&self.partition_values(sig, part_fp), required) {
+        for part in 0..self.part_sets[keys.part_set].parts.len() {
+            if !partition_matches(&self.part_sets[keys.part_set].parts[part].values, required) {
                 continue;
             }
-            let key = self.ensure_agg_struct(kind, sig, part_fp, &channels)?;
+            let key = self.ensure_agg_struct(kind, keys, part)?;
             let index = self.agg_structs.get(&key).ok_or_else(|| {
                 ExecError::Internal("aggregate structure vanished after ensure".into())
             })?;
             for (channel, o) in outputs.iter().enumerate() {
                 let minimize = o.func == SimpleAgg::Min;
                 if let Some(e) = index.probe_extremum(rect, channel, minimize) {
-                    best[channel] = Some(match best[channel] {
-                        None => e.value,
-                        Some(b) => {
-                            if minimize {
-                                b.min(e.value)
-                            } else {
-                                b.max(e.value)
-                            }
-                        }
-                    });
+                    fold_extremum(&mut best[channel], e.value, minimize);
                 }
             }
         }
         self.stats.index_probes += 1;
-        let fields = outputs
-            .iter()
-            .zip(&best)
-            .map(|(o, b)| {
-                (
-                    o.name.clone(),
-                    match b {
-                        Some(v) => Value::Float(*v),
-                        None => o.default.clone(),
-                    },
-                )
-            })
-            .collect();
-        Ok(ScriptValue::Record(fields))
+        for (o, b) in outputs.iter().zip(&best) {
+            rec.put(&o.name, b.map_or_else(|| o.default.clone(), Value::Float));
+        }
+        rec.finish();
+        Ok(())
     }
 }
 
@@ -2580,11 +2746,11 @@ mod tests {
         assert!(!same_value(&Value::Int(1), &Value::Float(1.0)));
         assert!(partition_matches(
             &[Value::Int(0)],
-            &vec![(true, Value::Int(0))]
+            &[(true, Value::Int(0))]
         ));
         assert!(!partition_matches(
             &[Value::Int(0)],
-            &vec![(false, Value::Int(0))]
+            &[(false, Value::Int(0))]
         ));
     }
 }

@@ -18,6 +18,7 @@
 
 pub mod builtin_eval;
 pub mod checkpoint;
+pub mod closed;
 pub mod compile;
 pub mod config;
 pub mod error;
@@ -29,6 +30,7 @@ pub mod planner;
 pub mod stats;
 pub(crate) mod vm;
 
+pub use closed::ClosedProgram;
 pub use compile::{compile_script, CompileError, CompiledScript};
 pub use config::{
     AdaptiveWindow, ExecConfig, ExecMode, MaintenancePolicy, Parallelism, PlannerMode,

@@ -49,6 +49,51 @@ pub struct CallObs {
 }
 
 impl CallObs {
+    /// Count one probe served by `backend`.
+    pub(crate) fn add_served(&mut self, backend: PhysicalBackend) {
+        self.served[backend.index()] += 1;
+    }
+
+    /// Count a probe's rectangle area (quantised to area units); unbounded
+    /// rectangles do not contribute.
+    pub(crate) fn add_rect_area(&mut self, area: f64) {
+        if area.is_finite() && area >= 0.0 {
+            self.rect_area_q = self.rect_area_q.saturating_add(area.round() as u64);
+            self.rect_probes += 1;
+        }
+    }
+
+    /// Count the matched rows of a probe that knows them.
+    fn add_matched(&mut self, matched: u64) {
+        self.matched += matched;
+        self.matched_probes += 1;
+    }
+
+    fn see_partitions(&mut self, partitions: usize) {
+        self.partitions = self.partitions.max(partitions as u64);
+    }
+
+    /// A partition count and a served backend together (nearest and min/max
+    /// probes, which have no matched-row count).
+    pub(crate) fn add_partitioned_serve(&mut self, partitions: usize, backend: PhysicalBackend) {
+        self.see_partitions(partitions);
+        self.add_served(backend);
+    }
+
+    /// Everything one divisible index probe observes: partition count,
+    /// serving backend, matched rows and rectangle area.
+    pub(crate) fn add_index_probe(
+        &mut self,
+        partitions: usize,
+        backend: PhysicalBackend,
+        matched: u64,
+        rect_area: f64,
+    ) {
+        self.add_partitioned_serve(partitions, backend);
+        self.add_matched(matched);
+        self.add_rect_area(rect_area);
+    }
+
     fn merge(&mut self, other: &CallObs) {
         self.probes += other.probes;
         self.matched += other.matched;
@@ -88,8 +133,7 @@ impl TickObservations {
         self.update(name, |e| e.probes += 1);
     }
 
-    /// Record `count` evaluated probes at once (the bytecode VM counts per
-    /// call site during a run and flushes here).
+    /// Record `count` evaluated probes at once.
     pub fn record_probes(&mut self, name: &str, count: u64) {
         if count > 0 {
             self.update(name, |e| e.probes += count);
@@ -98,76 +142,34 @@ impl TickObservations {
 
     /// Record which backend served a probe.
     pub fn record_served(&mut self, name: &str, backend: PhysicalBackend) {
-        self.update(name, |e| e.served[backend.index()] += 1);
-    }
-
-    /// Record `count` probes served by one backend at once.
-    pub fn record_served_n(&mut self, name: &str, backend: PhysicalBackend, count: u64) {
-        if count > 0 {
-            self.update(name, |e| e.served[backend.index()] += count);
-        }
+        self.update(name, |e| e.add_served(backend));
     }
 
     /// Record the matched-row count of a probe (divisible probes know it).
     pub fn record_matched(&mut self, name: &str, matched: u64) {
-        self.update(name, |e| {
-            e.matched += matched;
-            e.matched_probes += 1;
-        });
+        self.update(name, |e| e.add_matched(matched));
     }
 
     /// Record a probe's finite rectangle area (quantised to area units).
     pub fn record_rect_area(&mut self, name: &str, area: f64) {
-        if !area.is_finite() || area < 0.0 {
-            return;
+        if area.is_finite() && area >= 0.0 {
+            self.update(name, |e| e.add_rect_area(area));
         }
-        self.update(name, |e| {
-            e.rect_area_q = e.rect_area_q.saturating_add(area.round() as u64);
-            e.rect_probes += 1;
-        });
     }
 
     /// Record the categorical partition count behind a call site.
     pub fn record_partitions(&mut self, name: &str, partitions: usize) {
-        self.update(name, |e| e.partitions = e.partitions.max(partitions as u64));
+        self.update(name, |e| e.see_partitions(partitions));
     }
 
-    /// Record everything one divisible index probe observes — partition
-    /// count, serving backend, matched rows and rectangle area — in a single
-    /// name lookup.  Equivalent to calling the individual `record_*` methods;
-    /// folded together because the probe path runs per aggregate call.
-    pub fn record_index_probe(
-        &mut self,
-        name: &str,
-        partitions: usize,
-        backend: PhysicalBackend,
-        matched: u64,
-        rect_area: f64,
-    ) {
-        self.update(name, |e| {
-            e.partitions = e.partitions.max(partitions as u64);
-            e.served[backend.index()] += 1;
-            e.matched += matched;
-            e.matched_probes += 1;
-            if rect_area.is_finite() && rect_area >= 0.0 {
-                e.rect_area_q = e.rect_area_q.saturating_add(rect_area.round() as u64);
-                e.rect_probes += 1;
-            }
-        });
-    }
-
-    /// Record a partition count and a served backend together (nearest and
-    /// min/max probes, which have no matched-row count).
-    pub fn record_partitioned_serve(
-        &mut self,
-        name: &str,
-        partitions: usize,
-        backend: PhysicalBackend,
-    ) {
-        self.update(name, |e| {
-            e.partitions = e.partitions.max(partitions as u64);
-            e.served[backend.index()] += 1;
-        });
+    /// Fold in the counters a call site accumulated over a run (the probe
+    /// path counts into a per-site [`CallObs`] instead of looking the name
+    /// up per probe).  A site that observed nothing leaves no entry, exactly
+    /// as if none of its probes had been recorded.
+    pub fn fold(&mut self, name: &str, site: &CallObs) {
+        if *site != CallObs::default() {
+            self.update(name, |e| e.merge(site));
+        }
     }
 
     /// Merge another tick fragment (shards, parallel executors).

@@ -27,40 +27,53 @@
 //! identical either way — aggregates are pure functions of the tick-frozen
 //! environment — but the bookkeeping *counts* (`aggregate_probes`,
 //! `shared_hits`) legitimately differ from interpreted runs, which the
-//! conformance digests do not observe.  Per-call-site bookkeeping for the
-//! cost-based planner is batched: the VM counts probes per site id during
-//! the run and flushes once into [`TickObservations`] at the end.
+//! conformance digests do not observe.
+//!
+//! **The call boundary is compiled too.**  Behind `CallAgg` and `Perform`
+//! nothing is interpreted per probe: the probe rectangle, the categorical
+//! constraint values, a clause's target key / area bounds / filter / effect
+//! values and an `ArgBest` winner's outputs are closed code
+//! ([`crate::closed`]) over the flattened call arguments, and everything
+//! that is fixed while only the unit varies — the definition, its plan, the
+//! maintained or materialized state behind it, the matching partition list,
+//! the planner's per-site observations — is resolved or accumulated once
+//! per shard run ([`ResolvedAgg`]) and folded into [`TickObservations`] at
+//! the end.  A name-keyed parameter map exists only where a site falls back
+//! to the reference scan.
 //!
 //! [`TickObservations`]: crate::stats::TickObservations
 
 use rustc_hash::FxHashMap;
 
-use sgl_lang::ast::CmpOp;
+use sgl_lang::ast::{BinOp, CmpOp};
 use sgl_lang::builtins::AggregateDef;
-use sgl_lang::eval::{eval_cond, eval_term, EvalContext, NoAggregates, ScriptValue};
+use sgl_lang::eval::{apply_binop, EvalContext, ScriptValue};
 
 use sgl_algebra::cost::PhysicalBackend;
-use sgl_env::{AttrId, Value};
+use sgl_env::{AttrId, RowRef, Value};
+use sgl_index::Rect;
 
 use crate::builtin_eval::eval_aggregate_scan;
-use crate::compile::{CompiledScript, Instr};
+use crate::closed::{flatten_args, ClosedEnv};
+use crate::compile::{ClauseTarget, CompiledScript, Instr, RectCode};
 use crate::error::{ExecError, Result};
+use crate::indexes::{ProbeArgs, ProbeSite, Probed, RecordOut};
 use crate::interp::{ShardState, TickShared};
 use crate::planner::PlannedAggregate;
+use crate::stats::CallObs;
 
-/// An aggregate call site resolved against this tick's registry and plan
-/// cache, with its parameter map pre-keyed so a probe only overwrites
-/// values (no per-probe map or key-string allocation).
+/// An aggregate call site resolved against this tick's registry, plan cache
+/// and index state — once per shard run, so a probe looks nothing up.
 struct ResolvedAgg<'a> {
     def: &'a AggregateDef,
     planned: &'a PlannedAggregate,
-    /// Reusable parameter bindings (`def.params[1..]` → placeholder).
-    params: FxHashMap<String, ScriptValue>,
-    /// Probes evaluated at this site during the run (flushed to the
-    /// planner's observations at run end, keyed by `def.name`).
-    probes: u64,
-    /// How many of them fell back to the naive scan.
-    scans: u64,
+    /// The index-side state of the site; `None` when it scans.
+    site: Option<ProbeSite<'a>>,
+    /// The current probe's categorical constraint values (reused).
+    required: Vec<(bool, Value)>,
+    /// Probes issued and scan fallbacks taken (the index side counts into
+    /// `site`); both fold into the shard's observations at run end.
+    obs: CallObs,
 }
 
 /// Mutable per-shard execution state for one compiled script: the register
@@ -74,67 +87,48 @@ struct Vm {
     field_cache: Vec<usize>,
     /// Effects buffered per perform site, replayed site-major at run end.
     site_logs: Vec<Vec<(i64, AttrId, Value)>>,
-    /// Reusable parameter bindings per perform site.
-    perform_params: Vec<FxHashMap<String, ScriptValue>>,
-    /// Scratch buffer for flattened call arguments.
+    /// The current call's flattened arguments (the closed code's parameters).
     flat: Vec<Value>,
     /// Scratch buffer for candidate rows of a perform clause.
     candidates: Vec<u32>,
+    /// Value stack of the closed-term evaluator.
+    stack: Vec<Value>,
 }
 
-/// Pre-key a reusable parameter map for a call site: one entry per declared
-/// parameter after the implicit unit.  Probes overwrite the values in place.
-fn param_slots(params: &[String]) -> FxHashMap<String, ScriptValue> {
-    params
-        .iter()
-        .skip(1)
-        .map(|p| (p.clone(), ScriptValue::Scalar(Value::Int(0))))
-        .collect()
+/// `a op b` with the scalar case short-cut past `zip_binop`'s component
+/// vectors; `zip_binop` itself reduces two one-component values to exactly
+/// this `apply_binop` call, so results and errors are identical.
+fn binop(
+    op: BinOp,
+    a: &ScriptValue,
+    b: &ScriptValue,
+) -> std::result::Result<ScriptValue, sgl_lang::LangError> {
+    match (a, b) {
+        (ScriptValue::Scalar(x), ScriptValue::Scalar(y)) => {
+            Ok(ScriptValue::Scalar(apply_binop(op, x, y)?))
+        }
+        _ => ScriptValue::zip_binop(op, a, b),
+    }
 }
 
-/// Flatten the argument registers after the implicit unit into `flat` and
-/// overwrite the pre-keyed parameter map — the semantics of
-/// [`crate::builtin_eval::bind_params`], minus its per-call allocations.
-fn rebind_params(
-    name: &str,
-    declared: &[String],
-    arg_regs: &[u16],
-    regs: &[ScriptValue],
-    flat: &mut Vec<Value>,
-    params: &mut FxHashMap<String, ScriptValue>,
-) -> Result<()> {
-    flat.clear();
-    for r in arg_regs.iter().skip(1) {
-        match &regs[*r as usize] {
-            ScriptValue::Scalar(v) => flat.push(v.clone()),
-            ScriptValue::Record(fields) => flat.extend(fields.iter().map(|(_, v)| v.clone())),
-        }
-    }
-    let expected = declared.len().saturating_sub(1);
-    if flat.len() != expected {
-        return Err(ExecError::Lang(sgl_lang::LangError::Semantic(format!(
-            "builtin `{name}` expects {expected} scalar arguments after the unit, got {}",
-            flat.len()
-        ))));
-    }
-    for (param, value) in declared.iter().skip(1).zip(flat.drain(..)) {
-        match params.get_mut(param) {
-            Some(slot) => *slot = ScriptValue::Scalar(value),
-            None => {
-                return Err(ExecError::Internal(format!(
-                    "parameter `{param}` of `{name}` missing from the pre-keyed bindings"
-                )))
-            }
-        }
-    }
-    Ok(())
+fn eval_rect(
+    [x_lo, x_hi, y_lo, y_hi]: &RectCode,
+    env: &ClosedEnv<'_>,
+    stack: &mut Vec<Value>,
+) -> Result<Rect> {
+    Ok(Rect::new(
+        x_lo.eval(env, stack)?.as_f64()?,
+        x_hi.eval(env, stack)?.as_f64()?,
+        y_lo.eval(env, stack)?.as_f64()?,
+        y_hi.eval(env, stack)?.as_f64()?,
+    ))
 }
 
 /// Execute one compiled script for `acting_rows` within a shard, emitting
 /// effects into the shard's sink in the interpreter's exact order.
-pub(crate) fn run_compiled(
-    shared: &TickShared<'_>,
-    state: &mut ShardState<'_>,
+pub(crate) fn run_compiled<'a>(
+    shared: &TickShared<'a>,
+    state: &mut ShardState<'a>,
     compiled: &CompiledScript,
     acting_rows: &[u32],
 ) -> Result<()> {
@@ -153,18 +147,34 @@ pub(crate) fn run_compiled(
                     site.name
                 ))
             })?;
+            let probe_site = match (&state.cache, &site.prologue) {
+                (Some(cache), Some(_)) => cache.open_site(planned),
+                _ => None,
+            };
+            // The prologue was lowered from the analysis `plan_aggregate`
+            // derives for this definition; a plan cache built from anything
+            // else would be probed with the wrong arguments.
+            if probe_site.is_some()
+                && site.prologue.as_ref().map(|p| &p.analysis) != Some(&planned.analysis)
+            {
+                return Err(ExecError::Internal(format!(
+                    "call site `{}` was compiled against a different definition than it is planned under",
+                    site.name
+                )));
+            }
             Ok(ResolvedAgg {
                 def,
                 planned,
-                params: param_slots(&def.params),
-                probes: 0,
-                scans: 0,
+                site: probe_site,
+                required: Vec::new(),
+                obs: CallObs::default(),
             })
         })
         .collect::<Result<Vec<_>>>()?;
     // Missing names only error if an instruction actually reads them —
     // exactly when the interpreter's lazy per-probe lookup would.
     let consts: Vec<Option<&Value>> = compiled
+        .names
         .const_names
         .iter()
         .map(|n| shared.constants.get(n))
@@ -174,27 +184,24 @@ pub(crate) fn run_compiled(
         regs: vec![ScriptValue::Scalar(Value::Int(0)); compiled.num_regs],
         field_cache: vec![usize::MAX; compiled.num_field_caches],
         site_logs: vec![Vec::new(); compiled.perform_sites.len()],
-        perform_params: compiled
-            .perform_sites
-            .iter()
-            .map(|s| param_slots(&s.params))
-            .collect(),
         flat: Vec::new(),
         candidates: Vec::new(),
+        stack: Vec::new(),
     };
     let schema = shared.table.schema();
     for &row in acting_rows {
         let unit = shared.table.row(row as usize);
-        let ctx = EvalContext::new(schema, unit, shared.rng, shared.constants);
-        vm.run_unit(shared, state, compiled, &mut aggs, &consts, &ctx)?;
+        let unit_key = unit.key(schema);
+        vm.run_unit(shared, state, compiled, &mut aggs, &consts, unit, unit_key)?;
     }
-    for site in &aggs {
-        state.stats.aggregate_probes += site.probes as usize;
-        state.stats.naive_scans += site.scans as usize;
-        state.obs.record_probes(&site.def.name, site.probes);
-        state
-            .obs
-            .record_served_n(&site.def.name, PhysicalBackend::Scan, site.scans);
+    for resolved in &aggs {
+        let scans = resolved.obs.served[PhysicalBackend::Scan.index()];
+        state.stats.aggregate_probes += resolved.obs.probes as usize;
+        state.stats.naive_scans += scans as usize;
+        state.obs.fold(&resolved.def.name, &resolved.obs);
+        if let Some(site) = &resolved.site {
+            state.obs.fold(&resolved.def.name, &site.obs);
+        }
     }
     // Site-major replay = the interpreter's statement-major emission order.
     for log in vm.site_logs {
@@ -207,14 +214,15 @@ pub(crate) fn run_compiled(
 
 impl Vm {
     #[allow(clippy::too_many_arguments)]
-    fn run_unit(
+    fn run_unit<'a>(
         &mut self,
-        shared: &TickShared<'_>,
-        state: &mut ShardState<'_>,
+        shared: &TickShared<'a>,
+        state: &mut ShardState<'a>,
         compiled: &CompiledScript,
-        aggs: &mut [ResolvedAgg<'_>],
+        aggs: &mut [ResolvedAgg<'a>],
         consts: &[Option<&Value>],
-        ctx: &EvalContext<'_>,
+        unit: RowRef<'_>,
+        unit_key: i64,
     ) -> Result<()> {
         let mut pc = 0usize;
         loop {
@@ -226,28 +234,25 @@ impl Vm {
                 Instr::NamedConst { dst, idx } => {
                     let v = consts[*idx as usize].ok_or_else(|| {
                         ExecError::Lang(sgl_lang::LangError::Unresolved(
-                            compiled.const_names[*idx as usize].clone(),
+                            compiled.names.const_names[*idx as usize].clone(),
                         ))
                     })?;
                     self.regs[*dst as usize] = ScriptValue::Scalar(v.clone());
                 }
                 Instr::UnitAttr { dst, attr } => {
-                    self.regs[*dst as usize] = ScriptValue::Scalar(ctx.unit.get(*attr).clone());
+                    self.regs[*dst as usize] = ScriptValue::Scalar(unit.get(*attr));
                 }
                 Instr::UnitKey { dst } => {
-                    self.regs[*dst as usize] = ScriptValue::Scalar(Value::Int(ctx.unit_key));
+                    self.regs[*dst as usize] = ScriptValue::Scalar(Value::Int(unit_key));
                 }
                 Instr::Random { dst, seed } => {
                     let i = self.regs[*seed as usize].as_scalar()?.as_i64()?;
                     self.regs[*dst as usize] =
-                        ScriptValue::Scalar(Value::Int(ctx.rng.value(ctx.unit_key, i)));
+                        ScriptValue::Scalar(Value::Int(shared.rng.value(unit_key, i)));
                 }
                 Instr::Bin { dst, op, a, b } => {
-                    self.regs[*dst as usize] = ScriptValue::zip_binop(
-                        *op,
-                        &self.regs[*a as usize],
-                        &self.regs[*b as usize],
-                    )?;
+                    self.regs[*dst as usize] =
+                        binop(*op, &self.regs[*a as usize], &self.regs[*b as usize])?;
                 }
                 Instr::Neg { dst, src } => {
                     let v = match &self.regs[*src as usize] {
@@ -306,13 +311,26 @@ impl Vm {
                     }
                     self.regs[*dst as usize] = ScriptValue::Record(fields);
                 }
-                Instr::CallAgg { dst, site } => {
-                    let v =
-                        self.call_aggregate(shared, state, compiled, aggs, *site as usize, ctx)?;
-                    self.regs[*dst as usize] = v;
-                }
+                Instr::CallAgg { dst, site } => self.call_aggregate(
+                    shared,
+                    state,
+                    compiled,
+                    &mut aggs[*site as usize],
+                    consts,
+                    (*site as usize, *dst as usize),
+                    unit,
+                    unit_key,
+                )?,
                 Instr::Perform { site } => {
-                    self.perform(shared, state, compiled, *site as usize, ctx)?;
+                    self.perform(
+                        shared,
+                        state,
+                        compiled,
+                        consts,
+                        *site as usize,
+                        unit,
+                        unit_key,
+                    )?;
                 }
                 Instr::Jump { target } => {
                     pc = *target as usize;
@@ -341,156 +359,167 @@ impl Vm {
         }
     }
 
-    /// One aggregate probe: the interpreter's `eval_aggregate` flow (index
-    /// cache → scan fallback) with the definition and plan pre-resolved, the
-    /// parameter map reused, and the sharing memo skipped (see the module
-    /// docs — a `(site, unit)` key cannot repeat within a run).
+    /// One aggregate probe.  Index-served sites evaluate their prologue —
+    /// closed code over the flattened arguments — into [`ProbeArgs`] and let
+    /// [`crate::indexes::TickIndexes::probe`] write the answer straight into
+    /// the destination register; the rest take the reference scan, which is
+    /// the only place a name-keyed parameter map is built.  The sharing memo
+    /// is skipped (see the module docs — a `(site, unit)` key cannot repeat
+    /// within a run).
     #[allow(clippy::too_many_arguments)]
-    fn call_aggregate(
+    fn call_aggregate<'a>(
         &mut self,
-        shared: &TickShared<'_>,
-        state: &mut ShardState<'_>,
+        shared: &TickShared<'a>,
+        state: &mut ShardState<'a>,
         compiled: &CompiledScript,
-        aggs: &mut [ResolvedAgg<'_>],
-        site_idx: usize,
-        ctx: &EvalContext<'_>,
-    ) -> Result<ScriptValue> {
+        resolved: &mut ResolvedAgg<'a>,
+        consts: &[Option<&Value>],
+        (site_idx, dst): (usize, usize),
+        unit: RowRef<'_>,
+        unit_key: i64,
+    ) -> Result<()> {
         let site = &compiled.agg_sites[site_idx];
-        let resolved = &mut aggs[site_idx];
-        resolved.probes += 1;
-        rebind_params(
-            &resolved.def.name,
-            &resolved.def.params,
-            &site.args,
-            &self.regs,
+        resolved.obs.probes += 1;
+        flatten_args(
+            &site.name,
+            site.arity,
+            site.args.iter().skip(1).map(|r| &self.regs[*r as usize]),
             &mut self.flat,
-            &mut resolved.params,
         )?;
-        // Lend the site's reusable parameter map to a closed probe context
-        // (see `TickIndexes::evaluate`); it is handed back below.  An early
-        // `?` abandons it, which is fine — the run is discarded on error.
-        let probe_ctx = EvalContext {
-            schema: ctx.schema,
-            unit: ctx.unit,
-            unit_key: ctx.unit_key,
-            row: None,
-            rng: ctx.rng,
-            constants: ctx.constants,
-            bindings: std::mem::take(&mut resolved.params),
-        };
-        let via_index = match state.cache.as_mut() {
-            Some(cache) => cache.evaluate(resolved.planned, &probe_ctx)?,
-            None => None,
-        };
-        let result = match via_index {
-            Some(v) => v,
-            None => {
-                resolved.scans += 1;
-                eval_aggregate_scan(resolved.def, &probe_ctx.bindings, ctx, shared.table)?
+        if let (Some(cache), Some(probe_site), Some(prologue)) = (
+            state.cache.as_mut(),
+            resolved.site.as_mut(),
+            site.prologue.as_ref(),
+        ) {
+            let mut env = ClosedEnv {
+                unit,
+                unit_key,
+                row: None,
+                params: &self.flat,
+                named: consts,
+                const_names: &compiled.names.const_names,
+                rng: shared.rng,
+            };
+            resolved.required.clear();
+            for (equal, code) in &prologue.required {
+                let value = code.eval(&env, &mut self.stack)?;
+                resolved.required.push((*equal, value));
             }
-        };
-        resolved.params = probe_ctx.bindings;
-        Ok(result)
+            let rect = match &prologue.rect {
+                Some(code) => Some(eval_rect(code, &env, &mut self.stack)?),
+                None => None,
+            };
+            let args = ProbeArgs {
+                rect,
+                required: &resolved.required,
+            };
+            let out = &mut self.regs[dst];
+            let probed = cache.probe(resolved.planned, probe_site, unit, unit_key, &args, out)?;
+            if let Probed::Winner(row) = probed {
+                if prologue.outputs.is_empty() {
+                    return Err(ExecError::Internal(format!(
+                        "call site `{}` has no compiled winner outputs",
+                        site.name
+                    )));
+                }
+                env.row = Some(shared.table.row(row));
+                let mut rec = RecordOut::begin(out, prologue.outputs.len());
+                for (name, code) in &prologue.outputs {
+                    rec.put(name, code.eval(&env, &mut self.stack)?);
+                }
+                rec.finish();
+            }
+            return Ok(());
+        }
+        resolved.obs.add_served(PhysicalBackend::Scan);
+        let bindings: FxHashMap<String, ScriptValue> = resolved
+            .def
+            .params
+            .iter()
+            .skip(1)
+            .cloned()
+            .zip(self.flat.drain(..).map(ScriptValue::Scalar))
+            .collect();
+        let ctx = EvalContext::new(shared.table.schema(), unit, shared.rng, shared.constants);
+        self.regs[dst] = eval_aggregate_scan(resolved.def, &bindings, &ctx, shared.table)?;
+        Ok(())
     }
 
     /// One perform-site execution for one unit: the interpreter's
-    /// `apply_action` with the filter analysis and effect attribute ids
-    /// pre-computed, buffering emissions into the site's log.  The clause
-    /// loop reuses one evaluation context, flipping its candidate row in
-    /// place instead of cloning the bindings per target.
+    /// `apply_action` with candidate enumeration, the per-candidate filter
+    /// and the effect values all closed code, buffering emissions into the
+    /// site's log.  The clause loop reuses one environment, flipping its
+    /// candidate row in place.
+    #[allow(clippy::too_many_arguments)]
     fn perform(
         &mut self,
         shared: &TickShared<'_>,
         state: &mut ShardState<'_>,
         compiled: &CompiledScript,
+        consts: &[Option<&Value>],
         site_idx: usize,
-        ctx: &EvalContext<'_>,
+        unit: RowRef<'_>,
+        unit_key: i64,
     ) -> Result<()> {
         let site = &compiled.perform_sites[site_idx];
         state.stats.acting_units += 1;
-        rebind_params(
+        flatten_args(
             &site.name,
-            &site.params,
-            &site.args,
-            &self.regs,
+            site.arity,
+            site.args.iter().skip(1).map(|r| &self.regs[*r as usize]),
             &mut self.flat,
-            &mut self.perform_params[site_idx],
         )?;
-        let mut full_ctx = EvalContext::new(ctx.schema, ctx.unit, ctx.rng, ctx.constants);
-        // The map is moved into the context for the clause loop and moved
-        // back below; an early `?` return abandons it, which is fine — the
-        // whole run (and this `Vm`) is discarded when a tick errors.
-        full_ctx.bindings = std::mem::take(&mut self.perform_params[site_idx]);
-        let config = shared.config;
+        let mut env = ClosedEnv {
+            unit,
+            unit_key,
+            row: None,
+            params: &self.flat,
+            named: consts,
+            const_names: &compiled.names.const_names,
+            rng: shared.rng,
+        };
         let schema = shared.table.schema();
-        let mut no_aggs = NoAggregates;
+        let all_rows = 0..shared.table.len() as u32;
 
         for clause in &site.clauses {
-            full_ctx.row = None;
-            let analysis = &clause.analysis;
+            env.row = None;
             self.candidates.clear();
-            if let Some(key_term) = &analysis.key_eq {
-                // Targeted effect: O(1) key look-up.
-                let key = eval_term(key_term, &full_ctx, &mut no_aggs)?
-                    .as_scalar()?
-                    .as_i64()?;
-                if let Some(idx) = shared.table.find_key_readonly(key) {
-                    self.candidates.push(idx as u32);
+            match &clause.target {
+                ClauseTarget::Key(code) => {
+                    // Targeted effect: O(1) key look-up.
+                    let key = code.eval(&env, &mut self.stack)?.as_i64()?;
+                    if let Some(idx) = shared.table.find_key_readonly(key) {
+                        self.candidates.push(idx as u32);
+                    }
                 }
-            } else if config.aoe_index && analysis.conjunctive {
-                if let (Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) = (
-                    &analysis.x_lo,
-                    &analysis.x_hi,
-                    &analysis.y_lo,
-                    &analysis.y_hi,
-                ) {
+                ClauseTarget::Rect(code) if shared.config.aoe_index => {
                     // Area-of-effect: enumerate through the spatial index.
-                    let lo_x = eval_term(x_lo, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let hi_x = eval_term(x_hi, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let lo_y = eval_term(y_lo, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let hi_y = eval_term(y_hi, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let rect = sgl_index::Rect::new(lo_x, hi_x, lo_y, hi_y);
+                    let rect = eval_rect(code, &env, &mut self.stack)?;
                     match state.cache.as_mut() {
                         Some(cache) => {
-                            let fps = cache.partition_fps_for(&[])?;
-                            for fp in fps {
+                            for fp in cache.partition_fps_for(&[])? {
                                 self.candidates.extend(cache.enum_query(&[], fp, &rect)?);
                             }
                         }
-                        None => self.candidates.extend(0..shared.table.len() as u32),
+                        None => self.candidates.extend(all_rows.clone()),
                     }
-                } else {
-                    self.candidates.extend(0..shared.table.len() as u32);
                 }
-            } else {
-                self.candidates.extend(0..shared.table.len() as u32);
+                _ => self.candidates.extend(all_rows.clone()),
             }
 
             let log = &mut self.site_logs[site_idx];
             for &target in &self.candidates {
                 let target_row = shared.table.row(target as usize);
-                full_ctx.row = Some(target_row);
-                if !eval_cond(&clause.filter, &full_ctx, &mut no_aggs)? {
+                env.row = Some(target_row);
+                if !clause.filter.holds(&env, &mut self.stack)? {
                     continue;
                 }
                 let target_key = target_row.key(schema);
-                for (attr, _attr_name, term) in &clause.effects {
-                    let value = eval_term(term, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .clone();
-                    log.push((target_key, *attr, value));
+                for (attr, code) in &clause.effects {
+                    log.push((target_key, *attr, code.eval(&env, &mut self.stack)?));
                 }
             }
         }
-        self.perform_params[site_idx] = std::mem::take(&mut full_ctx.bindings);
         Ok(())
     }
 }
