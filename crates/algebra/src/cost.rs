@@ -15,9 +15,9 @@
 //! * `parts` — categorical partitions behind the hash layer.
 //!
 //! Costs are expressed in microseconds through a set of per-operation
-//! [`CostConstants`].  The defaults were calibrated with
-//! `sgl_bench::calibrate_cost_constants` (micro-measurements of the real
-//! structures); the bench crate can re-measure them for a new machine.
+//! [`CostConstants`].  The defaults were calibrated by micro-measurements of
+//! the real structures; `examples/calibrate_costs.rs` re-measures them for a
+//! new machine.
 //! Absolute scale cancels when alternatives are compared, so the *ratios*
 //! are what the defaults have to get right.
 
@@ -158,7 +158,7 @@ pub struct CostConstants {
 
 impl CostConstants {
     /// The checked-in calibration (measured with
-    /// `sgl_bench::calibrate_cost_constants` on the reference container and
+    /// `examples/calibrate_costs.rs` on the reference container and
     /// rounded; only the ratios matter for planning).
     pub fn default_calibration() -> CostConstants {
         CostConstants {

@@ -388,7 +388,7 @@ mod tests {
     fn every_preset_builds_and_runs_in_every_mode() {
         for preset in PresetScenario::all() {
             assert!(preset.table.len() > 20, "{} is too small", preset.name);
-            for mode in [ExecMode::Naive, ExecMode::Indexed, ExecMode::Oracle] {
+            for mode in [ExecMode::Naive, ExecMode::Compiled, ExecMode::Oracle] {
                 let mut sim = preset.build_simulation(mode);
                 let summary = sim.run(2).unwrap();
                 assert_eq!(summary.ticks, 2, "{} under {mode:?}", preset.name);
@@ -427,7 +427,7 @@ mod tests {
                 .map(|(_, row)| row.get_f64(posx).unwrap())
                 .collect()
         };
-        let mut sim = preset.build_simulation(ExecMode::Indexed);
+        let mut sim = preset.build_simulation(ExecMode::Compiled);
         let before = wall_xs(&sim);
         assert!(!before.is_empty());
         sim.run(6).unwrap();
@@ -451,7 +451,7 @@ mod tests {
                 .collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };
-        let mut sim = preset.build_simulation(ExecMode::Indexed);
+        let mut sim = preset.build_simulation(ExecMode::Compiled);
         let before = swarm_mean_x(&sim);
         sim.run(10).unwrap();
         let after = swarm_mean_x(&sim);
@@ -465,7 +465,7 @@ mod tests {
     fn attrition_stalemate_stays_populated() {
         let preset = attrition_stalemate();
         let start = preset.table.len();
-        let mut sim = preset.build_simulation(ExecMode::Indexed);
+        let mut sim = preset.build_simulation(ExecMode::Compiled);
         let summary = sim.run(12).unwrap();
         // Attrition, not a rout: most units survive 12 ticks even with
         // resurrection off.

@@ -299,7 +299,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        for mode in [ExecMode::Naive, ExecMode::Indexed] {
+        for mode in [ExecMode::Naive, ExecMode::Compiled] {
             let mut sim = scenario.build_simulation(mode);
             let summary = sim.run(10).unwrap();
             assert_eq!(summary.ticks, 10);
@@ -320,7 +320,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Indexed);
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
         let summary = sim.run(3).unwrap();
         assert_eq!(
             summary.exec.naive_scans, 0,
@@ -343,25 +343,22 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        for mode in [ExecMode::Indexed, ExecMode::Compiled] {
-            let mut sim = scenario.build_simulation(mode);
-            let mut enum_probes = 0;
-            for _ in 0..30 {
-                let exec = sim.step().unwrap().exec;
-                assert!(
-                    exec.index_probes + exec.shared_hits + exec.naive_scans
-                        <= exec.aggregate_probes,
-                    "{mode:?}: {exec:?}"
-                );
-                enum_probes += exec.enum_probes;
-            }
-            assert!(enum_probes > 0, "{mode:?}: no healer enumerated an aura");
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut enum_probes = 0;
+        for _ in 0..30 {
+            let exec = sim.step().unwrap().exec;
+            assert!(
+                exec.index_probes + exec.shared_hits + exec.naive_scans <= exec.aggregate_probes,
+                "{exec:?}"
+            );
+            enum_probes += exec.enum_probes;
         }
+        assert!(enum_probes > 0, "no healer enumerated an aura");
     }
 
     #[test]
     fn measurements_expose_figure10_metrics() {
-        let m = run_battle(40, 0.02, ExecMode::Indexed, 3, 7);
+        let m = run_battle(40, 0.02, ExecMode::Compiled, 3, 7);
         assert_eq!(m.units, 40);
         assert!(m.seconds_per_tick() > 0.0);
         assert!(m.seconds_per_500_ticks() > m.seconds_per_tick());

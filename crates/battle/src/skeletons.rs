@@ -246,7 +246,7 @@ mod tests {
             ..SkeletonConfig::default()
         };
         let scenario = SkeletonScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Indexed);
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
         let summary = sim.run(5).unwrap();
         assert_eq!(summary.ticks, 5);
         assert_eq!(
@@ -279,7 +279,7 @@ mod tests {
             }
             sum / count as f64
         };
-        let mut sim = scenario.build_simulation(ExecMode::Indexed);
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
         let before = mean_x(&sim);
         sim.run(12).unwrap();
         let after = mean_x(&sim);
@@ -300,7 +300,7 @@ mod tests {
         };
         let scenario = SkeletonScenario::generate(config);
         let mut naive = scenario.build_simulation(ExecMode::Naive);
-        let mut indexed = scenario.build_simulation(ExecMode::Indexed);
+        let mut indexed = scenario.build_simulation(ExecMode::Compiled);
         for _ in 0..4 {
             naive.step().unwrap();
             indexed.step().unwrap();

@@ -59,12 +59,16 @@ impl CompiledScript {
 pub enum CompileError {
     /// Front-end error (lexing, parsing, normalisation, type checking).
     Lang(LangError),
+    /// The script passed the front end but does not lower to register
+    /// bytecode, so the simulation cannot run it.
+    Bytecode(sgl_exec::CompileError),
 }
 
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CompileError::Lang(e) => write!(f, "{e}"),
+            CompileError::Bytecode(e) => write!(f, "{e}"),
         }
     }
 }
@@ -74,6 +78,12 @@ impl std::error::Error for CompileError {}
 impl From<LangError> for CompileError {
     fn from(e: LangError) -> Self {
         CompileError::Lang(e)
+    }
+}
+
+impl From<sgl_exec::CompileError> for CompileError {
+    fn from(e: sgl_exec::CompileError) -> Self {
+        CompileError::Bytecode(e)
     }
 }
 
@@ -160,8 +170,9 @@ impl GameBuilder {
         self
     }
 
-    /// Validate the registry, compile every script and build the simulation
-    /// over the provided initial environment.
+    /// Validate the registry, compile every script (front end and bytecode)
+    /// and build the simulation over the provided initial environment.  Any
+    /// script that fails either stage is an error; no simulation is built.
     pub fn build(self, table: EnvTable) -> Result<Simulation, CompileError> {
         check_registry(&self.registry, &self.schema)?;
         let mut compiled = Vec::with_capacity(self.scripts.len());
@@ -172,14 +183,12 @@ impl GameBuilder {
         }
         let mut sim = Simulation::new(table, self.registry, self.mechanics, self.exec, self.seed);
         for (script, selector) in compiled {
-            // Keep the normalized AST alongside the plan so the simulation
-            // can switch into the differential oracle mode.
             sim.add_script_with_source(
                 script.name.clone(),
                 script.optimized.plan,
                 script.normal,
                 selector,
-            );
+            )?;
         }
         Ok(sim)
     }
@@ -278,5 +287,94 @@ mod tests {
             .script("bad", "main(u) { perform Nope(u); }", UnitSelector::All)
             .build(table);
         assert!(result.is_err());
+    }
+
+    /// A script that passes the front end but does not lower to bytecode is
+    /// a typed registration error: `build` refuses it, and a configuration
+    /// change (or resume) that would make it unlowerable is refused with the
+    /// simulation left as it was.
+    #[test]
+    fn unlowerable_scripts_are_typed_registration_errors() {
+        use sgl_engine::error::EngineError;
+        use sgl_lang::ast::Term;
+        use sgl_lang::builtins::{rect_range_filter, AggOutput, AggSpec, AggregateDef, SimpleAgg};
+
+        let schema = paper_schema().into_shared();
+        let mut registry = paper_registry();
+        // The range reaches the filter through a record term, which the
+        // bytecode's closed code does not lower.  It only has to be lowered
+        // when a spatial mapping turns the filter into a probe rectangle.
+        let range = Term::Field(
+            Box::new(Term::Tuple(vec![Term::name("range"), Term::int(0)])),
+            "_0".into(),
+        );
+        registry.register_aggregate(AggregateDef {
+            name: "CountAroundInRange".into(),
+            params: vec!["u".into(), "range".into()],
+            filter: rect_range_filter(range),
+            spec: AggSpec::Simple {
+                outputs: vec![AggOutput {
+                    name: "value".into(),
+                    func: SimpleAgg::Count,
+                    value: Term::int(1),
+                    default: sgl_env::Value::Int(0),
+                }],
+            },
+        });
+        let mut table = EnvTable::new(Arc::clone(&schema));
+        for key in 0..6i64 {
+            let t = TupleBuilder::new(&schema)
+                .set("key", key)
+                .unwrap()
+                .set("player", key % 2)
+                .unwrap()
+                .set("posx", key as f64 * 2.0)
+                .unwrap()
+                .set("health", 20i64)
+                .unwrap()
+                .build();
+            table.insert(t).unwrap();
+        }
+        let builder = |config: ExecConfig| {
+            let mechanics = Mechanics {
+                post: paper_postprocessor(&schema, 1.0, 2).unwrap(),
+                movement: None,
+                resurrect: None,
+            };
+            GameBuilder::new(Arc::clone(&schema), registry.clone(), mechanics)
+                .exec_config(config)
+                .script(
+                    "crowd",
+                    "main(u) { (let n = CountAroundInRange(u, 5)) if n > 1 then perform MoveInDirection(u, 0, 0); }",
+                    UnitSelector::All,
+                )
+        };
+
+        let indexed = ExecConfig::indexed(&schema);
+        let err = builder(indexed).build(table.clone()).err();
+        assert!(
+            matches!(err, Some(CompileError::Bytecode(_))),
+            "expected a bytecode error, got {err:?}"
+        );
+
+        // Without a spatial mapping the aggregate scans and compiles.
+        let scanning = ExecConfig {
+            spatial: None,
+            ..indexed
+        };
+        let mut sim = builder(scanning).build(table).unwrap();
+        sim.step().unwrap();
+        let digest = sim.digest();
+        let err = sim.set_exec_config(indexed).unwrap_err();
+        assert!(err.to_string().contains("cannot compile"), "{err}");
+        assert_eq!(sim.digest(), digest);
+        assert_eq!(*sim.exec_config(), scanning);
+        let bytes = sim.checkpoint().unwrap();
+        let err = sim.resume(&bytes, indexed).unwrap_err();
+        assert!(matches!(err, EngineError::Compile(_)), "{err}");
+        assert_eq!(*sim.exec_config(), scanning);
+        assert_eq!(sim.current_tick(), 1);
+        // Still runnable under the configuration it kept.
+        sim.step().unwrap();
     }
 }

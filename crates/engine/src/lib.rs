@@ -22,14 +22,12 @@
 
 //!
 //! Supporting modules: [`metrics`] (per-phase timings, throughput/capacity
-//! analysis), [`replay`] (state digests and determinism traces) and
-//! [`pathfind`] (the A* "AI engine" substrate of Figure 2).
+//! analysis) and [`replay`] (state digests and determinism traces).
 
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod movement;
-pub mod pathfind;
 pub mod replay;
 
 use std::fmt::Write as _;
@@ -42,16 +40,15 @@ use sgl_algebra::{explain_with_costs, CostAnnotation, LogicalPlan};
 use sgl_env::{AttrId, EnvTable, GameRng, PostProcessor, Value};
 use sgl_exec::{
     choose_physical, compile_script, execute_tick_oracle, execute_tick_planned, force_materialized,
-    plan_registry, strategy_class, CompiledScript, ExecConfig, ExecMode, IndexManager, MaintStats,
-    MaintenancePolicy, OracleRun, Parallelism, PlannedAggregate, PlannerMode, RuntimeStats,
-    ScriptRun, TickObservations, TickStats,
+    plan_registry, strategy_class, CompileError, CompiledScript, ExecConfig, ExecMode,
+    IndexManager, MaintStats, MaintenancePolicy, OracleRun, Parallelism, PlannedAggregate,
+    PlannerMode, RuntimeStats, ScriptRun, TickObservations, TickStats,
 };
 use sgl_lang::normalize::NormalScript;
 use sgl_lang::Registry;
 
 pub use metrics::{PhaseAllocs, PhaseTimings, RollingStats, ThroughputReport};
 pub use movement::{run_movement, MovementConfig, MovementStats};
-pub use pathfind::{astar, next_waypoint, GridMap};
 pub use replay::{compare_traces, StateDigest, TraceComparison, TraceRecorder};
 
 use crate::error::EngineError;
@@ -65,18 +62,19 @@ pub mod error {
     pub enum EngineError {
         /// Execution failed.
         Exec(sgl_exec::ExecError),
+        /// A registered script does not lower to bytecode under the
+        /// requested configuration.
+        Compile(sgl_exec::CompileError),
         /// Environment manipulation failed.
         Env(sgl_env::EnvError),
-        /// Configuration problem.
-        Config(String),
     }
 
     impl fmt::Display for EngineError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             match self {
                 EngineError::Exec(e) => write!(f, "{e}"),
+                EngineError::Compile(e) => write!(f, "{e}"),
                 EngineError::Env(e) => write!(f, "{e}"),
-                EngineError::Config(msg) => write!(f, "engine configuration error: {msg}"),
             }
         }
     }
@@ -86,6 +84,12 @@ pub mod error {
     impl From<sgl_exec::ExecError> for EngineError {
         fn from(e: sgl_exec::ExecError) -> Self {
             EngineError::Exec(e)
+        }
+    }
+
+    impl From<sgl_exec::CompileError> for EngineError {
+        fn from(e: sgl_exec::CompileError) -> Self {
+            EngineError::Compile(e)
         }
     }
 
@@ -117,26 +121,25 @@ impl UnitSelector {
     }
 }
 
-/// A script registered with the simulation: its optimized plan plus the
-/// selector choosing the units that run it.
+/// A script registered with the simulation: its optimized plan, normalized
+/// AST and register bytecode, plus the selector choosing the units that run
+/// it.
 #[derive(Debug, Clone)]
 pub struct RegisteredScript {
     /// Human-readable name (for reports).
     pub name: String,
-    /// The optimized plan.
+    /// The optimized plan (what `explain` renders and the checkpoint's
+    /// scripts fingerprint covers).
     pub plan: LogicalPlan,
-    /// The normalized script AST the plan was compiled from, when the caller
-    /// kept it (scripts registered through `GameBuilder` always carry it).
-    /// Required to run under [`ExecMode::Oracle`], which interprets the AST
-    /// directly instead of the plan.
-    pub normal: Option<NormalScript>,
+    /// The normalized script AST the plan was compiled from: the source of
+    /// the bytecode, and what [`ExecMode::Oracle`] interprets directly.
+    pub normal: NormalScript,
     /// Which units run it.
     pub selector: UnitSelector,
-    /// Register bytecode lowered from `normal`, when the script carries its
-    /// source and compiles cleanly.  Executed under [`ExecMode::Compiled`];
-    /// scripts without bytecode fall back to the plan walker in any mode.
-    /// Never serialized — checkpoints carry no bytecode, and resume
-    /// recompiles from the normalized AST.
+    /// Register bytecode lowered from `normal` under the current execution
+    /// configuration — `Some` for every registered script (a script that
+    /// does not compile is refused at registration).  Never serialized —
+    /// checkpoints carry no bytecode, and resume recompiles from `normal`.
     pub compiled: Option<CompiledScript>,
 }
 
@@ -243,72 +246,64 @@ impl Simulation {
         }
     }
 
-    /// Register a script.  Scripts are matched in registration order, so more
-    /// specific selectors should be registered before catch-alls.
-    pub fn add_script(
-        &mut self,
-        name: impl Into<String>,
-        plan: LogicalPlan,
-        selector: UnitSelector,
-    ) {
-        self.scripts.push(RegisteredScript {
-            name: name.into(),
-            plan,
-            normal: None,
-            selector,
-            compiled: None,
-        });
-    }
-
-    /// Register a script together with the normalized AST it was compiled
-    /// from, enabling the differential [`ExecMode::Oracle`] for this
-    /// simulation.  `GameBuilder` uses this for every compiled script.
+    /// Register a script from its optimized plan and the normalized AST the
+    /// plan was compiled from; the AST is lowered to register bytecode here,
+    /// once.  Scripts are matched in registration order, so more specific
+    /// selectors should be registered before catch-alls.  A script the
+    /// bytecode compiler refuses is an error and leaves the simulation
+    /// untouched.
     pub fn add_script_with_source(
         &mut self,
         name: impl Into<String>,
         plan: LogicalPlan,
         normal: NormalScript,
         selector: UnitSelector,
-    ) {
+    ) -> std::result::Result<(), CompileError> {
         let name = name.into();
-        // Lower to register bytecode eagerly.  A script that does not
-        // compile (e.g. it references a name only resolvable at runtime)
-        // simply keeps executing on the plan walker — the bytecode is an
-        // execution strategy, never a semantic requirement.
         let compiled = compile_script(
             &name,
             &normal,
             &self.registry,
             self.table.schema(),
             self.exec_config.spatial,
-        )
-        .ok();
+        )?;
         self.scripts.push(RegisteredScript {
             name,
             plan,
-            normal: Some(normal),
+            normal,
             selector,
-            compiled,
+            compiled: Some(compiled),
         });
+        Ok(())
     }
 
-    /// Re-lower every script that carries its normalized source into
-    /// register bytecode.  The bytecode bakes in schema attribute ids and
-    /// the spatial-attribute configuration (per-clause filter analyses), so
-    /// it is rebuilt whenever the execution configuration changes — and on
-    /// resume, where the checkpoint stores no bytecode by design.
-    fn recompile_scripts(&mut self) {
-        for script in &mut self.scripts {
-            script.compiled = script.normal.as_ref().and_then(|normal| {
+    /// Lower every registered script to register bytecode under `config`.
+    /// The bytecode bakes in schema attribute ids and the spatial-attribute
+    /// configuration (per-clause filter analyses), so it is rebuilt whenever
+    /// the execution configuration changes — and on resume, where the
+    /// checkpoint stores no bytecode by design.
+    fn compile_scripts(
+        &self,
+        config: &ExecConfig,
+    ) -> std::result::Result<Vec<CompiledScript>, CompileError> {
+        self.scripts
+            .iter()
+            .map(|script| {
                 compile_script(
                     &script.name,
-                    normal,
+                    &script.normal,
                     &self.registry,
                     self.table.schema(),
-                    self.exec_config.spatial,
+                    config.spatial,
                 )
-                .ok()
-            });
+            })
+            .collect()
+    }
+
+    /// Install bytecode produced by [`Simulation::compile_scripts`].
+    fn install_compiled(&mut self, compiled: Vec<CompiledScript>) {
+        for (script, compiled) in self.scripts.iter_mut().zip(compiled) {
+            script.compiled = Some(compiled);
         }
     }
 
@@ -356,12 +351,17 @@ impl Simulation {
     }
 
     /// Change the execution configuration (e.g. switch naive ↔ indexed, or
-    /// change the maintenance policy).  Resets the index manager.
-    pub fn set_exec_config(&mut self, config: ExecConfig) {
+    /// change the maintenance policy).  Resets the index manager.  Every
+    /// script is recompiled under the new configuration first; if one is
+    /// refused, the error is returned and the simulation keeps its old
+    /// configuration untouched.
+    pub fn set_exec_config(&mut self, config: ExecConfig) -> std::result::Result<(), CompileError> {
+        let compiled = self.compile_scripts(&config)?;
+        self.install_compiled(compiled);
         self.index_manager = IndexManager::new(&config);
         self.planned = plan_registry(&self.registry, &self.table, &config);
         self.exec_config = config;
-        self.recompile_scripts();
+        Ok(())
     }
 
     /// Change only the worker-thread count of the decision/action phases.
@@ -383,7 +383,7 @@ impl Simulation {
     }
 
     /// Replace the cost-model calibration constants (e.g. with a fresh
-    /// `sgl_bench::calibrate_cost_constants` measurement).
+    /// measurement from `examples/calibrate_costs.rs`).
     pub fn set_cost_constants(&mut self, constants: CostConstants) {
         self.cost_constants = constants;
     }
@@ -602,25 +602,19 @@ impl Simulation {
 
         // Decision + action phases (including per-tick index building and,
         // on the first tick of a maintained policy, the initial structure
-        // build).  The oracle mode bypasses the plan executors entirely and
+        // build).  The oracle mode bypasses the bytecode VM entirely and
         // interprets the registered scripts' normalized ASTs.
         let phase_start = Instant::now();
         let (effects, mut exec_stats, obs) = if self.exec_config.mode == ExecMode::Oracle {
-            let mut runs: Vec<OracleRun<'_>> = Vec::with_capacity(self.scripts.len());
-            for (script, rows) in self.scripts.iter().zip(acting) {
-                let normal = script.normal.as_ref().ok_or_else(|| {
-                    EngineError::Config(format!(
-                        "script `{}` was registered without its normalized AST; \
-                         the oracle interpreter needs the source — register it \
-                         through GameBuilder or Simulation::add_script_with_source",
-                        script.name
-                    ))
-                })?;
-                runs.push(OracleRun {
-                    script: normal,
+            let runs: Vec<OracleRun<'_>> = self
+                .scripts
+                .iter()
+                .zip(acting)
+                .map(|(script, rows)| OracleRun {
+                    script: &script.normal,
                     acting_rows: rows,
-                });
-            }
+                })
+                .collect();
             let (effects, stats) =
                 execute_tick_oracle(&self.table, &self.registry, &runs, &tick_rng)?;
             (effects, stats, TickObservations::default())
@@ -629,12 +623,10 @@ impl Simulation {
                 .scripts
                 .iter()
                 .zip(acting)
-                .map(|(script, rows)| {
-                    let run = ScriptRun::new(&script.plan, rows);
-                    match &script.compiled {
-                        Some(compiled) => run.with_compiled(compiled),
-                        None => run,
-                    }
+                .map(|(script, rows)| ScriptRun {
+                    plan: &script.plan,
+                    acting_rows: rows,
+                    compiled: script.compiled.as_ref(),
                 })
                 .collect();
             execute_tick_planned(
@@ -912,14 +904,16 @@ impl Simulation {
     ///
     /// The simulation must have been built with the same schema and the same
     /// scripts as the writer (both are fingerprint-checked; mismatches are
-    /// rejected with a typed [`sgl_env::EnvError::Checkpoint`]).  Everything
-    /// is validated *before* any state is replaced — a failed resume leaves
-    /// the simulation untouched.  On success the tick counter, RNG stream,
-    /// runtime statistics and (under a cost-based `config`) the installed
-    /// physical choices continue exactly where the writer stopped; the tick
-    /// history is cleared (it describes the writer's process, not this one)
-    /// and maintained index structures are deterministically reconstructed
-    /// from the restored table and validated eagerly.
+    /// rejected with a typed [`sgl_env::EnvError::Checkpoint`]), and every
+    /// script must compile under `config` ([`EngineError::Compile`]
+    /// otherwise).  Everything is validated *before* any state is replaced —
+    /// a failed resume leaves the simulation untouched.  On success the tick
+    /// counter, RNG stream, runtime statistics and (under a cost-based
+    /// `config`) the installed physical choices continue exactly where the
+    /// writer stopped; the tick history is cleared (it describes the
+    /// writer's process, not this one) and maintained index structures are
+    /// deterministically reconstructed from the restored table and validated
+    /// eagerly.
     pub fn resume(&mut self, bytes: &[u8], config: ExecConfig) -> Result<()> {
         use sgl_env::checkpoint::{section, ByteReader, CheckpointReader};
         let reader = CheckpointReader::parse(bytes).map_err(EngineError::Env)?;
@@ -997,8 +991,12 @@ impl Simulation {
         // migration (the reconstruction is bookkeeping of the resume, not
         // of a tick).
         index_manager.last_maint = maint;
+        // Checkpoints carry no bytecode: lower the scripts' normalized ASTs
+        // under the resume configuration.
+        let compiled = self.compile_scripts(&config)?;
 
         // Everything decoded, validated and rebuilt — commit.
+        self.install_compiled(compiled);
         self.table = table;
         self.planned = planned;
         self.index_manager = index_manager;
@@ -1007,9 +1005,6 @@ impl Simulation {
         self.rng = GameRng::new(seed);
         self.tick = tick;
         self.history.clear();
-        // Checkpoints carry no bytecode: reconstruct the compiled scripts
-        // from their stored normalized ASTs under the resume configuration.
-        self.recompile_scripts();
         Ok(())
     }
 
@@ -1049,12 +1044,25 @@ mod tests {
     use sgl_lang::parse_script;
     use std::sync::Arc;
 
-    fn compile(src: &str) -> LogicalPlan {
+    /// Register `src` on `sim` under the paper registry.
+    fn add(sim: &mut Simulation, name: &str, src: &str, selector: UnitSelector) {
         let registry = paper_registry();
         let script = parse_script(src).unwrap();
         let normal = normalize(&script, &registry).unwrap();
-        optimize(translate(&normal), &registry).plan
+        let plan = optimize(translate(&normal), &registry).plan;
+        sim.add_script_with_source(name, plan, normal, selector)
+            .unwrap();
     }
+
+    const BATTLE: &str = r#"main(u) {
+        (let c = CountEnemiesInRange(u, 10))
+        if c > 3 then
+          perform MoveInDirection(u, u.posx - 5, u.posy);
+        else if c > 0 and u.cooldown = 0 then
+          perform FireAt(u, getNearestEnemy(u).key);
+        else
+          perform MoveInDirection(u, 25, 25);
+    }"#;
 
     fn build_sim(n: usize, mode_indexed: bool) -> (Arc<Schema>, Simulation) {
         let schema = paper_schema().into_shared();
@@ -1131,18 +1139,7 @@ mod tests {
             ExecConfig::naive(&schema)
         };
         let mut sim = Simulation::new(table, registry, mechanics, exec, 1234);
-        let plan = compile(
-            r#"main(u) {
-                (let c = CountEnemiesInRange(u, 10))
-                if c > 3 then
-                  perform MoveInDirection(u, u.posx - 5, u.posy);
-                else if c > 0 and u.cooldown = 0 then
-                  perform FireAt(u, getNearestEnemy(u).key);
-                else
-                  perform MoveInDirection(u, 25, 25);
-            }"#,
-        );
-        sim.add_script("battle", plan, UnitSelector::All);
+        add(&mut sim, "battle", BATTLE, UnitSelector::All);
         (schema, sim)
     }
 
@@ -1204,7 +1201,8 @@ mod tests {
             MaintenancePolicy::adaptive(),
         ] {
             let (schema, mut sim) = build_sim(28, true);
-            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy));
+            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy))
+                .unwrap();
             for (tick, expected) in reference.iter().enumerate() {
                 let report = sim.step().unwrap();
                 assert_eq!(
@@ -1238,7 +1236,8 @@ mod tests {
         let (schema, mut sim) = build_sim(20, true);
         sim.set_exec_config(
             ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-        );
+        )
+        .unwrap();
         sim.run(3).unwrap();
         // The maintain phase ran (its duration is part of every report); the
         // rebuild policy leaves it at zero.
@@ -1279,33 +1278,17 @@ mod tests {
     #[test]
     fn oracle_mode_reproduces_plan_execution_digests() {
         use sgl_exec::ExecMode;
-        // Register the battle script with its normalized AST so the oracle
-        // can interpret it, then check tick-for-tick digest equality against
-        // naive and indexed plan execution.
-        let registry = paper_registry();
-        let src = r#"main(u) {
-            (let c = CountEnemiesInRange(u, 10))
-            if c > 3 then
-              perform MoveInDirection(u, u.posx - 5, u.posy);
-            else if c > 0 and u.cooldown = 0 then
-              perform FireAt(u, getNearestEnemy(u).key);
-            else
-              perform MoveInDirection(u, 25, 25);
-        }"#;
-        let script = parse_script(src).unwrap();
-        let normal = normalize(&script, &registry).unwrap();
-        let plan = optimize(translate(&normal), &registry).plan;
-
+        // Tick-for-tick digest equality of the oracle (interpreting the
+        // battle script's AST) against naive and indexed bytecode execution.
         let build = |mode: ExecMode| {
             let (schema, mut sim) = build_sim(26, true);
-            sim.clear_scripts();
-            sim.add_script_with_source("battle", plan.clone(), normal.clone(), UnitSelector::All);
-            sim.set_exec_config(ExecConfig::for_mode(mode, &schema));
+            sim.set_exec_config(ExecConfig::for_mode(mode, &schema))
+                .unwrap();
             sim
         };
         let mut oracle = build(ExecMode::Oracle);
         let mut naive = build(ExecMode::Naive);
-        let mut indexed = build(ExecMode::Indexed);
+        let mut indexed = build(ExecMode::Compiled);
         for tick in 0..5 {
             let report = oracle.step().unwrap();
             naive.step().unwrap();
@@ -1325,16 +1308,6 @@ mod tests {
             assert_eq!(report.exec.shared_hits, 0);
             assert_eq!(report.exec.naive_scans, report.exec.aggregate_probes);
         }
-    }
-
-    #[test]
-    fn oracle_mode_requires_script_sources() {
-        let (schema, mut sim) = build_sim(8, true);
-        // build_sim registers through add_script (plan only) — the oracle
-        // must refuse rather than silently falling back to the plan.
-        sim.set_exec_config(ExecConfig::oracle(&schema));
-        let err = sim.step().unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
     }
 
     #[test]
@@ -1435,9 +1408,10 @@ mod tests {
         // Different scripts: same schema, different behaviour.
         let (_, mut other_scripts) = build_sim(12, true);
         other_scripts.clear_scripts();
-        other_scripts.add_script(
+        add(
+            &mut other_scripts,
             "different",
-            compile("main(u) { perform MoveInDirection(u, 0, 0); }"),
+            "main(u) { perform MoveInDirection(u, 0, 0); }",
             UnitSelector::All,
         );
         let err = other_scripts.resume(&bytes, config).unwrap_err();
@@ -1485,9 +1459,11 @@ mod tests {
     fn checkpoint_carries_runtime_stats_and_planner_choices() {
         use sgl_exec::PlannerMode;
         let (schema, mut writer) = build_sim(30, true);
-        writer.set_exec_config(
-            ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
-        );
+        writer
+            .set_exec_config(
+                ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
+            )
+            .unwrap();
         for _ in 0..5 {
             writer.step().unwrap();
         }
@@ -1520,14 +1496,16 @@ mod tests {
         let (schema, mut sim) = build_sim(10, true);
         sim.clear_scripts();
         let player = schema.attr_id("player").unwrap();
-        sim.add_script(
+        add(
+            &mut sim,
             "p0",
-            compile("main(u) { perform MoveInDirection(u, 0, 0); }"),
+            "main(u) { perform MoveInDirection(u, 0, 0); }",
             UnitSelector::AttrEquals(player, Value::Int(0)),
         );
-        sim.add_script(
+        add(
+            &mut sim,
             "p1",
-            compile("main(u) { perform MoveInDirection(u, 50, 50); }"),
+            "main(u) { perform MoveInDirection(u, 50, 50); }",
             UnitSelector::AttrEquals(player, Value::Int(1)),
         );
         let report = sim.step().unwrap();
@@ -1594,11 +1572,10 @@ mod tests {
             ExecConfig::indexed(&schema),
             7,
         );
-        sim.add_script(
+        add(
+            &mut sim,
             "fire",
-            compile(
-                "main(u) { if u.cooldown = 0 then perform FireAt(u, getNearestEnemy(u).key); }",
-            ),
+            "main(u) { if u.cooldown = 0 then perform FireAt(u, getNearestEnemy(u).key); }",
             UnitSelector::All,
         );
         let mut total_deaths = 0;

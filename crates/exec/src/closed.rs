@@ -17,8 +17,8 @@
 //! `tests/closed_terms.rs` checks the equivalence differentially through
 //! [`ClosedProgram`].  Terms a definition has no use
 //! for — record construction and field access, nested aggregates — do not
-//! lower; a script calling such a definition keeps running on the
-//! tree-walking interpreter, like any other script the compiler refuses.
+//! lower; a script calling such a definition is refused at registration,
+//! like any other script the compiler refuses.
 
 use std::fmt;
 

@@ -1,7 +1,7 @@
 //! Lowering normalised scripts to register bytecode (§5-style physical
 //! compilation of the script layer).
 //!
-//! The tree-walking interpreter of [`crate::interp`] re-resolves every name,
+//! A tree-walking evaluator (the [`crate::oracle`]) re-resolves every name,
 //! attribute and built-in on every tick for every unit.  This pass runs once
 //! per script install instead: it flattens the normalised action tree into a
 //! [`CompiledScript`] — a flat instruction array over virtual registers with
@@ -19,16 +19,17 @@
 //! of `sgl-lang` supports is lowered to an instruction that calls the *same*
 //! shared semantics helpers (`ScriptValue::zip_binop`, `as_scalar`,
 //! `loose_eq`/`compare`), so compiled execution is bit-identical to the
-//! interpreter; anything outside the normal form (nested aggregates, row
-//! references in a script body, unknown names) is a [`CompileError`] and the
-//! engine transparently falls back to the interpreter for that script.
+//! oracle; anything outside the normal form (nested aggregates, row
+//! references in a script body, unknown names) is a [`CompileError`], which
+//! the engine reports when the script is registered — there is no other
+//! executor to fall back to.
 //!
 //! One deliberate restriction: built-in definitions are *closed* SQL
 //! fragments (they may reference their parameters, `u.*`, `e.*` and game
 //! constants, never a script-local `let` variable), so compiled call sites
 //! evaluate them in a context without the script's let bindings.  The
-//! interpreter happens to leak script bindings into definition evaluation;
-//! no well-formed registry definition can observe the difference.
+//! oracle happens to leak script bindings into definition evaluation; no
+//! well-formed registry definition can observe the difference.
 
 use std::fmt;
 
@@ -40,6 +41,7 @@ use sgl_lang::normalize::NormalScript;
 use crate::closed::{ClosedCond, ClosedTerm, Lowerer};
 use crate::config::SpatialAttrs;
 use crate::filter::{analyze_filter, FilterAnalysis};
+use crate::indexes::same_value;
 use crate::planner::{plan_aggregate, AggStrategy};
 
 /// A virtual register index.  Registers hold `ScriptValue`s and are written
@@ -47,10 +49,8 @@ use crate::planner::{plan_aggregate, AggStrategy};
 /// straight-line code per scope, so no clearing between units is needed).
 pub(crate) type Reg = u16;
 
-/// Why a script could not be lowered to bytecode.  The engine treats any
-/// compile error as "run this script through the tree-walking interpreter",
-/// which reproduces the exact runtime behaviour (including runtime errors)
-/// the script would have anyway.
+/// Why a script could not be lowered to bytecode.  The engine refuses to
+/// register (or reconfigure into) a script that does not compile.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
     /// A bare name is neither a let binding in scope, a registry constant,
@@ -84,7 +84,7 @@ pub(crate) enum Instr {
     Const { dst: Reg, idx: u16 },
     /// `dst = constants[const_names[idx]]` — a registry game constant,
     /// re-resolved once per shard run so late registry edits behave exactly
-    /// like the interpreter's per-probe lookup.
+    /// like the oracle's per-probe lookup.
     NamedConst { dst: Reg, idx: u16 },
     /// `dst = u.attr` (pre-resolved attribute slot of the acting unit).
     UnitAttr { dst: Reg, attr: AttrId },
@@ -115,8 +115,8 @@ pub(crate) enum Instr {
     },
     /// `dst = (items...)` — a tuple literal with `_0`, `_1`, ... field names.
     Tuple { dst: Reg, items: Vec<Reg> },
-    /// `dst = aggregate call site `site`` (memo/probe-cache keyed by the
-    /// call fingerprint, answered by indexes or the reference scan).
+    /// `dst = aggregate call site `site`` (answered by the site's index or
+    /// the reference scan).
     CallAgg { dst: Reg, site: u16 },
     /// Execute perform call site `site` (buffers its effects site-major).
     Perform { site: u16 },
@@ -167,7 +167,7 @@ pub(crate) struct Prologue {
 /// never per unit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AggSite {
-    /// Aggregate name (also the memo/observation key).
+    /// Aggregate name (also the observation key).
     pub(crate) name: String,
     /// Argument registers, in call order.
     pub(crate) args: Vec<Reg>,
@@ -191,8 +191,8 @@ pub(crate) enum ClauseTarget {
 
 /// One compiled effect clause of a perform site: candidate enumeration, the
 /// per-candidate filter and the effect assignments, all as closed code with
-/// attribute ids resolved (per *install*, not per unit per tick as the
-/// interpreter does).
+/// attribute ids resolved (per *install*, not per unit per tick as a
+/// tree-walking evaluator does).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CompiledClause {
     /// Candidate enumeration.
@@ -553,7 +553,7 @@ struct Compiler<'a> {
     agg_sites: Vec<AggSite>,
     perform_sites: Vec<PerformSite>,
     /// Lexical scope: let-bound names to the register holding their value.
-    /// Later entries shadow earlier ones, mirroring the interpreter's
+    /// Later entries shadow earlier ones, mirroring the oracle's
     /// binding-map insert order.
     scope: Vec<(String, Reg)>,
     num_regs: usize,
@@ -632,7 +632,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn const_idx(&mut self, v: &Value) -> Result<u16, CompileError> {
-        if let Some(i) = self.consts.iter().position(|c| c == v) {
+        // Type- and bit-exact: `Value`'s `PartialEq` is the loose numeric
+        // equality of the language, under which `3` and `3.0` would share
+        // a slot and the first literal would decide the other's type.
+        if let Some(i) = self.consts.iter().position(|c| same_value(c, v)) {
             return Self::u16_index(i, "constants");
         }
         self.consts.push(v.clone());
@@ -787,7 +790,7 @@ impl<'a> Compiler<'a> {
                 "`e.{attr}` referenced in a script body"
             ))),
             Term::Var(VarRef::Name(name)) => {
-                // The interpreter resolves bindings first, then constants.
+                // The oracle resolves bindings first, then constants.
                 if let Some(reg) = self.lookup(name) {
                     return Ok(reg);
                 }

@@ -9,16 +9,13 @@ use crate::error::ExecError;
 pub enum ExecMode {
     /// Straightforward per-unit evaluation: every aggregate scans the whole
     /// environment (`O(n)` per unit, `O(n²)` per tick) — the baseline of §6.
+    /// Runs the same register bytecode as [`ExecMode::Compiled`], with no
+    /// index view.
     Naive,
     /// Set-at-a-time evaluation through per-tick index structures
-    /// (`O(n log n)` per tick) — the paper's contribution, with script
-    /// statements evaluated by the tree-walking interpreter.
-    Indexed,
-    /// Indexed execution with scripts lowered to register bytecode
-    /// ([`crate::compile`]) and run by the dispatch-loop VM
-    /// (`vm` module).  Observationally identical to [`ExecMode::Indexed`];
-    /// scripts registered without sources (no normalized AST to compile)
-    /// transparently fall back to the interpreter.
+    /// (`O(n log n)` per tick) — the paper's contribution — with scripts
+    /// lowered to register bytecode ([`crate::compile`]) and run by the
+    /// dispatch-loop VM (`vm` module).
     Compiled,
     /// The reference interpreter of the conformance suite: tree-walking
     /// evaluation of the *normalized script AST* itself — no planner, no
@@ -29,33 +26,9 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// True for the modes that plan aggregates and probe index structures
-    /// (`Indexed` and `Compiled` differ only in how script *statements* are
-    /// evaluated; the aggregate/index machinery is shared).
+    /// True for the mode that plans aggregates and probes index structures.
     pub fn uses_indexes(self) -> bool {
-        matches!(self, ExecMode::Indexed | ExecMode::Compiled)
-    }
-
-    /// The planned-execution mode selected by the `SGL_EXEC_MODE`
-    /// environment variable (`compiled`, or `interp`/`indexed` to force the
-    /// tree-walking interpreter), defaulting to [`ExecMode::Compiled`].
-    /// Unrecognised values warn and keep the default — presets must never
-    /// panic on environment noise.
-    fn planned_from_env() -> ExecMode {
-        match std::env::var("SGL_EXEC_MODE") {
-            Err(_) => ExecMode::Compiled,
-            Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "" | "compiled" => ExecMode::Compiled,
-                "interp" | "interpreter" | "indexed" => ExecMode::Indexed,
-                _ => {
-                    eprintln!(
-                        "warning: SGL_EXEC_MODE must be `compiled` or `interp`, \
-                         got `{raw}`; using compiled"
-                    );
-                    ExecMode::Compiled
-                }
-            },
-        }
+        self == ExecMode::Compiled
     }
 }
 
@@ -206,7 +179,7 @@ pub enum PlannerMode {
     Heuristic,
     /// Cost-based: price every alternative from runtime statistics
     /// (`sgl_algebra::cost`) and re-cost on the given window.  Only
-    /// meaningful under [`ExecMode::Indexed`]; behaviour-neutral by
+    /// meaningful under [`ExecMode::Compiled`]; behaviour-neutral by
     /// construction (every alternative returns identical results), so state
     /// digests never depend on the mode.
     CostBased(AdaptiveWindow),
@@ -259,15 +232,12 @@ impl SpatialAttrs {
 /// Full executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Naive or indexed execution.
+    /// Naive, indexed (compiled) or oracle execution.
     pub mode: ExecMode,
     /// Spatial attributes used by the index planner.
     pub spatial: Option<SpatialAttrs>,
     /// Use fractional cascading in the layered aggregate trees (§5.3.1).
     pub cascading: bool,
-    /// Memoize the results of identical aggregate calls for the same unit
-    /// within a tick (the multi-query sharing the optimizer exposes).
-    pub share_aggregates: bool,
     /// Use the effect-centre index for area-of-effect actions (§5.4).
     pub aoe_index: bool,
     /// How index structures are maintained across ticks.
@@ -287,7 +257,6 @@ impl ExecConfig {
             mode: ExecMode::Naive,
             spatial: SpatialAttrs::from_schema(schema),
             cascading: false,
-            share_aggregates: false,
             aoe_index: false,
             policy: MaintenancePolicy::RebuildEachTick,
             backend: RebuildBackend::LayeredTree,
@@ -297,15 +266,12 @@ impl ExecConfig {
     }
 
     /// Configuration for planned (indexed) execution against a schema, all
-    /// paper optimizations enabled.  Scripts run on the bytecode VM by
-    /// default ([`ExecMode::Compiled`]); set `SGL_EXEC_MODE=interp` — or call
-    /// [`ExecConfig::with_mode`] — to force the tree-walking interpreter.
+    /// paper optimizations enabled ([`ExecMode::Compiled`]).
     pub fn indexed(schema: &Schema) -> ExecConfig {
         ExecConfig {
-            mode: ExecMode::planned_from_env(),
+            mode: ExecMode::Compiled,
             spatial: SpatialAttrs::from_schema(schema),
             cascading: true,
-            share_aggregates: true,
             aoe_index: true,
             policy: MaintenancePolicy::RebuildEachTick,
             backend: RebuildBackend::LayeredTree,
@@ -336,7 +302,6 @@ impl ExecConfig {
             mode: ExecMode::Oracle,
             spatial: SpatialAttrs::from_schema(schema),
             cascading: false,
-            share_aggregates: false,
             aoe_index: false,
             policy: MaintenancePolicy::RebuildEachTick,
             backend: RebuildBackend::LayeredTree,
@@ -351,15 +316,12 @@ impl ExecConfig {
     pub fn for_mode(mode: ExecMode, schema: &Schema) -> ExecConfig {
         match mode {
             ExecMode::Naive => ExecConfig::naive(schema),
-            // The planned preset resolves its own default from the
-            // environment; an explicit mode request overrides it.
-            ExecMode::Indexed | ExecMode::Compiled => ExecConfig::indexed(schema).with_mode(mode),
+            ExecMode::Compiled => ExecConfig::indexed(schema),
             ExecMode::Oracle => ExecConfig::oracle(schema),
         }
     }
 
-    /// Set the execution mode (e.g. force [`ExecMode::Indexed`] to pin the
-    /// tree-walking interpreter on a planned preset).
+    /// Set the execution mode.
     pub fn with_mode(mut self, mode: ExecMode) -> ExecConfig {
         self.mode = mode;
         self
@@ -404,7 +366,9 @@ pub struct TickStats {
     /// per partition tree queried) — not aggregate evaluations, so they are
     /// counted apart from `index_probes`.
     pub enum_probes: usize,
-    /// Aggregate evaluations answered from the per-tick memo cache.
+    /// Aggregate evaluations answered from a per-tick sharing memo.  Always
+    /// 0: the bytecode reaches each aggregate call site once per unit, so
+    /// there is nothing to share; kept for report compatibility.
     pub shared_hits: usize,
     /// Number of index structures built this tick.
     pub indexes_built: usize,
@@ -474,13 +438,11 @@ mod tests {
         let schema = paper_schema();
         let naive = ExecConfig::naive(&schema);
         assert_eq!(naive.mode, ExecMode::Naive);
-        assert!(!naive.share_aggregates);
+        assert!(!naive.aoe_index);
         let indexed = ExecConfig::indexed(&schema);
-        // The planned preset defaults to the bytecode VM (SGL_EXEC_MODE can
-        // force the interpreter); either way it is an index-using mode.
-        assert!(indexed.mode.uses_indexes());
-        assert_eq!(indexed.with_mode(ExecMode::Indexed).mode, ExecMode::Indexed);
-        assert!(indexed.cascading && indexed.share_aggregates && indexed.aoe_index);
+        assert_eq!(indexed.mode, ExecMode::Compiled);
+        assert_eq!(indexed.with_mode(ExecMode::Naive).mode, ExecMode::Naive);
+        assert!(indexed.cascading && indexed.aoe_index);
         assert_eq!(indexed.policy, MaintenancePolicy::RebuildEachTick);
         assert_eq!(indexed.backend, RebuildBackend::LayeredTree);
         let incremental = indexed.with_policy(MaintenancePolicy::Incremental);
@@ -491,7 +453,7 @@ mod tests {
         assert_eq!(quad.backend, RebuildBackend::QuadTree);
         let oracle = ExecConfig::oracle(&schema);
         assert_eq!(oracle.mode, ExecMode::Oracle);
-        assert!(!oracle.cascading && !oracle.share_aggregates && !oracle.aoe_index);
+        assert!(!oracle.cascading && !oracle.aoe_index);
         // The oracle is serial even when SGL_PARALLELISM asks for threads.
         assert_eq!(oracle.parallelism, Parallelism::Off);
     }
@@ -541,21 +503,13 @@ mod tests {
 
     #[test]
     fn exec_modes_classify_index_usage() {
-        assert!(ExecMode::Indexed.uses_indexes());
         assert!(ExecMode::Compiled.uses_indexes());
         assert!(!ExecMode::Naive.uses_indexes());
         assert!(!ExecMode::Oracle.uses_indexes());
         let schema = paper_schema();
-        // `for_mode` honours an explicit request even though the planned
-        // preset resolves its own default.
-        assert_eq!(
-            ExecConfig::for_mode(ExecMode::Indexed, &schema).mode,
-            ExecMode::Indexed
-        );
-        assert_eq!(
-            ExecConfig::for_mode(ExecMode::Compiled, &schema).mode,
-            ExecMode::Compiled
-        );
+        for mode in [ExecMode::Naive, ExecMode::Compiled, ExecMode::Oracle] {
+            assert_eq!(ExecConfig::for_mode(mode, &schema).mode, mode);
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::config::{ExecConfig, MaintenancePolicy, SpatialAttrs, TickStats};
 use crate::error::{ExecError, Result};
 use crate::filter::FilterAnalysis;
 use crate::planner::{AggStrategy, PlannedAggregate};
-use crate::stats::{CallObs, TickObservations};
+use crate::stats::CallObs;
 
 // ---------------------------------------------------------------------------
 // Value fingerprints (the categorical hash layer's key type)
@@ -85,7 +85,7 @@ pub fn fingerprint_values(vs: &[Value]) -> u64 {
 
 /// Strict (type- and bit-sensitive) value equality, matching the semantics
 /// of the fingerprint: two values compare equal iff they fingerprint equal.
-fn same_value(a: &Value, b: &Value) -> bool {
+pub(crate) fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x == y,
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
@@ -1053,9 +1053,8 @@ struct PartitionSet {
 }
 
 /// The query-dependent arguments of one probe.  The *caller* evaluates them
-/// for the probing unit — closed code in the bytecode VM, `eval_term` in the
-/// tree-walking adapter ([`TickIndexes::evaluate`]) — so the probe itself
-/// costs what its structure costs.
+/// for the probing unit — the call site's closed code in the bytecode VM —
+/// so the probe itself costs what its structure costs.
 pub(crate) struct ProbeArgs<'p> {
     /// The probe rectangle (`None` when the filter bounds none).
     pub(crate) rect: Option<Rect>,
@@ -1106,7 +1105,7 @@ pub(crate) struct ProbeSite<'a> {
     matching: Vec<(RequiredValues, Vec<u64>)>,
     per_tick: Option<PerTickKeys>,
     /// The planner observations of this site's probes; the owner folds them
-    /// into its [`TickObservations`] when the run ends.
+    /// into its [`TickObservations`](crate::stats::TickObservations) when the run ends.
     pub(crate) obs: CallObs,
 }
 
@@ -1191,10 +1190,6 @@ pub struct TickIndexes<'a> {
     sweeps: FxHashMap<u64, Vec<Option<(f64, u32)>>>,
     /// Statistics.
     pub stats: TickStats,
-    /// Per-call-site observations (selectivity, rect areas, served
-    /// backends) of the probes issued through [`TickIndexes::evaluate`].
-    /// Probes issued through a caller-held `ProbeSite` accumulate there.
-    pub obs: TickObservations,
     /// Lazily extracted position columns: one page walk per tick the first
     /// time a structure build or sweep batch needs points, then every
     /// subsequent point read is a plain vector index.
@@ -1256,7 +1251,6 @@ impl IndexManager {
             enum_trees: FxHashMap::default(),
             sweeps: FxHashMap::default(),
             stats: TickStats::default(),
-            obs: TickObservations::default(),
             positions: None,
             keys: None,
             chan_cols: FxHashMap::default(),
@@ -1532,51 +1526,6 @@ impl<'a> TickIndexes<'a> {
         Ok(self.part_sets[set].parts.iter().map(|p| p.fp).collect())
     }
 
-    /// Evaluate the categorical constraint values for one probing unit, in
-    /// [`FilterAnalysis::cat_constraints`] order.
-    fn required_values(
-        analysis: &FilterAnalysis,
-        unit_ctx: &EvalContext<'_>,
-    ) -> Result<RequiredValues> {
-        let mut no_aggs = NoAggregates;
-        analysis
-            .cat_constraints()
-            .into_iter()
-            .map(|c| {
-                let v = eval_term(&c.value, unit_ctx, &mut no_aggs)?
-                    .as_scalar()?
-                    .clone();
-                Ok((c.equal, v))
-            })
-            .collect()
-    }
-
-    /// Evaluate the rectangle of an analysis for one probing unit.  `None`
-    /// when the analysis has no spatial bounds (aggregate over the whole
-    /// world).
-    fn rect_for(analysis: &FilterAnalysis, unit_ctx: &EvalContext<'_>) -> Result<Option<Rect>> {
-        let (Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) = (
-            &analysis.x_lo,
-            &analysis.x_hi,
-            &analysis.y_lo,
-            &analysis.y_hi,
-        ) else {
-            return Ok(None);
-        };
-        let mut no_aggs = NoAggregates;
-        let mut get = |t: &Term| -> Result<f64> {
-            Ok(eval_term(t, unit_ctx, &mut no_aggs)?
-                .as_scalar()?
-                .as_f64()?)
-        };
-        Ok(Some(Rect::new(
-            get(x_lo)?,
-            get(x_hi)?,
-            get(y_lo)?,
-            get(y_hi)?,
-        )))
-    }
-
     /// Open the per-run probe state of a call site.  `None` when the site
     /// is answered by the caller's scan (a `Scan` strategy, or a cost-based
     /// choice of `Scan`: identical results, no structure built).
@@ -1603,55 +1552,8 @@ impl<'a> TickIndexes<'a> {
         })
     }
 
-    /// Evaluate a planned aggregate for one probing unit through its index
-    /// — the adapter of the tree-walking `ExecMode::Indexed` interpreter: it
-    /// evaluates the probe arguments with `eval_term` and issues the same
-    /// `TickIndexes::probe` the bytecode VM does.
-    ///
-    /// `ctx.bindings` must already hold the call's bound parameters (`range`
-    /// etc.) and nothing else needs to be visible: built-in aggregate
-    /// definitions are *closed* — their analysis terms reference parameters,
-    /// `u.*`/`e.*` attributes and named constants only, never the calling
-    /// script's `let` bindings.
-    pub fn evaluate(
-        &mut self,
-        planned: &PlannedAggregate,
-        ctx: &EvalContext<'_>,
-    ) -> Result<Option<ScriptValue>> {
-        let Some(mut site) = self.open_site(planned) else {
-            return Ok(None);
-        };
-        let required = Self::required_values(&planned.analysis, ctx)?;
-        let args = ProbeArgs {
-            rect: Self::rect_for(&planned.analysis, ctx)?,
-            required: &required,
-        };
-        let mut out = ScriptValue::Record(Vec::new());
-        if let Probed::Winner(row) =
-            self.probe(planned, &mut site, ctx.unit, ctx.unit_key, &args, &mut out)?
-        {
-            let AggSpec::ArgBest { outputs, .. } = &planned.def.spec else {
-                return Err(ExecError::Internal(
-                    "winner row reported for a Simple aggregate".into(),
-                ));
-            };
-            let row_ctx = ctx.with_row(self.table.row(row));
-            let mut no_aggs = NoAggregates;
-            let mut rec = RecordOut::begin(&mut out, outputs.len());
-            for (name, term, _) in outputs {
-                let value = eval_term(term, &row_ctx, &mut no_aggs)?
-                    .as_scalar()?
-                    .clone();
-                rec.put(name, value);
-            }
-            rec.finish();
-        }
-        self.obs.fold(&planned.def.name, &site.obs);
-        Ok(Some(out))
-    }
-
     /// Answer one probe of an open call site into `out` — the one probe
-    /// implementation, shared by the VM and the interpreter's adapter.
+    /// implementation behind the VM's `CallAgg`.
     pub(crate) fn probe(
         &mut self,
         planned: &PlannedAggregate,
@@ -2182,6 +2084,66 @@ mod tests {
             .unwrap()
     }
 
+    /// Answer one probe of `planned` for the unit of `ctx`, whose bindings
+    /// hold the call's bound parameters.  The probe arguments and an
+    /// `ArgBest` winner's outputs are evaluated here with `eval_term`, where
+    /// the VM runs the call site's closed code.
+    fn probe_unit(
+        cache: &mut TickIndexes<'_>,
+        planned: &PlannedAggregate,
+        ctx: &EvalContext<'_>,
+    ) -> ScriptValue {
+        let term = |t: &Term, ctx: &EvalContext<'_>| {
+            eval_term(t, ctx, &mut NoAggregates)
+                .unwrap()
+                .as_scalar()
+                .unwrap()
+                .clone()
+        };
+        let coord = |t: &Term| term(t, ctx).as_f64().unwrap();
+        let analysis = &planned.analysis;
+        let required: Vec<(bool, Value)> = analysis
+            .cat_constraints()
+            .iter()
+            .map(|c| (c.equal, term(&c.value, ctx)))
+            .collect();
+        let rect = match (
+            &analysis.x_lo,
+            &analysis.x_hi,
+            &analysis.y_lo,
+            &analysis.y_hi,
+        ) {
+            (Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) => Some(Rect::new(
+                coord(x_lo),
+                coord(x_hi),
+                coord(y_lo),
+                coord(y_hi),
+            )),
+            _ => None,
+        };
+        let args = ProbeArgs {
+            rect,
+            required: &required,
+        };
+        let mut site = cache.open_site(planned).expect("an indexed call site");
+        let mut out = ScriptValue::Record(Vec::new());
+        let probed = cache
+            .probe(planned, &mut site, ctx.unit, ctx.unit_key, &args, &mut out)
+            .unwrap();
+        if let Probed::Winner(row) = probed {
+            let AggSpec::ArgBest { outputs, .. } = &planned.def.spec else {
+                panic!("winner row reported for a Simple aggregate");
+            };
+            let row_ctx = ctx.with_row(cache.table.row(row));
+            let mut rec = RecordOut::begin(&mut out, outputs.len());
+            for (name, t, _) in outputs {
+                rec.put(name, term(t, &row_ctx));
+            }
+            rec.finish();
+        }
+        out
+    }
+
     fn make_table(n: usize) -> (Arc<Schema>, EnvTable) {
         let schema = paper_schema().into_shared();
         let mut table = EnvTable::new(Arc::clone(&schema));
@@ -2234,7 +2196,7 @@ mod tests {
         let rng = GameRng::new(7).for_tick(3);
 
         for (label, config) in configs(&schema) {
-            let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+            let planned_map = crate::tick::plan_registry(&registry, &table, &config);
             let mut manager = IndexManager::new(&config);
             for agg_name in [
                 "CountEnemiesInRange",
@@ -2258,7 +2220,7 @@ mod tests {
                         vec![ScriptValue::scalar(0i64)]
                     };
                     ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                    let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
+                    let fast = probe_unit(&mut cache, &planned, &ctx);
                     let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
                     match agg_name {
                         "CountEnemiesInRange" => {
@@ -2347,7 +2309,7 @@ mod tests {
                 let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
                 let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(10.0)];
                 ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
+                let fast = probe_unit(&mut cache, &planned, &ctx);
                 let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
                 assert_eq!(
                     fast.field("value").unwrap().as_f64().unwrap(),
@@ -2387,7 +2349,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
 
         // First sync builds every partition from scratch.
@@ -2419,7 +2381,7 @@ mod tests {
             let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
             let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(12.0)];
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-            let fast = cache.evaluate(&planned, &ctx).unwrap().unwrap();
+            let fast = probe_unit(&mut cache, &planned, &ctx);
             let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
             assert_eq!(
                 fast.as_scalar().unwrap(),
@@ -2440,7 +2402,7 @@ mod tests {
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema)
             .with_policy(MaintenancePolicy::Adaptive { rebuild_ratio: 0.3 });
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
 
@@ -2472,7 +2434,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
-        let planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
         assert!(manager.maintained_aggregates() > 0);
@@ -2501,7 +2463,7 @@ mod tests {
             let unit = table.row(row);
             let mut ctx = EvalContext::new(schema, unit, &rng, constants);
             ctx.bindings = bind_params(&planned.def.name, &planned.def.params, args).unwrap();
-            answers.push(cache.evaluate(planned, &ctx).unwrap().unwrap());
+            answers.push(probe_unit(&mut cache, planned, &ctx));
         }
         let serves = cache.stats.materialized_serves;
         let writes = cache.take_mat_writes();
@@ -2517,7 +2479,7 @@ mod tests {
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema);
         let rng = GameRng::new(7).for_tick(3);
-        let mut planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let switched = crate::planner::force_materialized(&mut planned_map);
         assert!(switched > 0, "registry has materializable sites");
 
@@ -2701,7 +2663,7 @@ mod tests {
         let registry = paper_registry();
         let constants = registry.constants().clone();
         let config = ExecConfig::indexed(&schema);
-        let mut planned_map = crate::interp::plan_registry(&registry, &table, &config);
+        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
         crate::planner::force_materialized(&mut planned_map);
         let planned = planned_map.get("CountEnemiesInRange").unwrap().clone();
         let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)];

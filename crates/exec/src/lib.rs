@@ -1,13 +1,14 @@
-//! # sgl-exec — naive and indexed execution of SGL plans
+//! # sgl-exec — naive and indexed execution of SGL scripts
 //!
-//! The physical layer of *Scaling Games to Epic Proportions*: both executors
-//! interpret the optimized logical plans of `sgl-algebra` set-at-a-time, but
-//! the **naive** executor answers every aggregate probe and action clause by
-//! scanning the environment (`O(n²)` per tick — the baseline of §6), while
-//! the **indexed** executor answers each probe in `O(log n)` from the index
-//! structures of `sgl-index` (layered aggregate range trees, quadtrees,
-//! kD-trees, sweep-lines and maintained grids behind a categorical hash
-//! layer).  Whether those structures are rebuilt per tick or maintained
+//! The physical layer of *Scaling Games to Epic Proportions*: every script is
+//! lowered once to register bytecode ([`compile_script`]) and run by one VM.
+//! Under the **naive** strategy the VM answers every aggregate probe and
+//! action clause by scanning the environment (`O(n²)` per tick — the
+//! baseline of §6); under the **indexed** strategy it answers each probe in
+//! `O(log n)` from the index structures of `sgl-index` (layered aggregate
+//! range trees, quadtrees, kD-trees, sweep-lines and maintained grids behind
+//! a categorical hash layer).  The [`oracle`] interpreter walks the script
+//! AST instead and is the differential reference for both.  Whether those structures are rebuilt per tick or maintained
 //! across ticks is decided by the [`MaintenancePolicy`] carried in
 //! [`ExecConfig`] and enforced by the cross-tick [`IndexManager`].
 //!
@@ -24,10 +25,10 @@ pub mod config;
 pub mod error;
 pub mod filter;
 pub mod indexes;
-pub mod interp;
 pub mod oracle;
 pub mod planner;
 pub mod stats;
+pub mod tick;
 pub(crate) mod vm;
 
 pub use closed::ClosedProgram;
@@ -39,10 +40,10 @@ pub use config::{
 pub use error::{ExecError, Result};
 pub use filter::{analyze_filter, FilterAnalysis};
 pub use indexes::{fingerprint_values, IndexManager, MaintStats, TickIndexes};
-pub use interp::{execute_tick, execute_tick_planned, execute_tick_with, plan_registry, ScriptRun};
 pub use oracle::{execute_tick_oracle, OracleRun};
 pub use planner::{
     choose_physical, force_materialized, plan_aggregate, strategy_class, AggStrategy,
     PhysicalChoice, PlannedAggregate,
 };
 pub use stats::{CallObs, CallSiteStats, RuntimeStats, TickObservations, BACKEND_COUNT};
+pub use tick::{execute_tick, execute_tick_planned, execute_tick_with, plan_registry, ScriptRun};

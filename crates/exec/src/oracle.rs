@@ -2,9 +2,9 @@
 //!
 //! Every other execution path in this workspace earns its speed through
 //! machinery that could, in principle, change the simulated game: the
-//! algebraic optimizer rewrites plans, the planner picks index structures,
-//! the executors memoize shared aggregates, maintain structures across ticks
-//! and fan units out over threads.  The paper's correctness claim is that
+//! algebraic optimizer rewrites plans, the compiler lowers scripts to
+//! bytecode, the planner picks index structures, the executor maintains
+//! structures across ticks and fans units out over threads.  The paper's correctness claim is that
 //! none of that is observable.  This module is the other side of that
 //! differential test: a deliberately naive interpreter that walks the
 //! *normalized script AST* directly (no logical plan at all) and answers
@@ -13,10 +13,10 @@
 //! when an optimized configuration and the oracle disagree on a
 //! `StateDigest`, the optimized configuration is wrong.
 //!
-//! The oracle iterates *unit-major* (each acting unit evaluates its whole
-//! script before the next unit starts) while the plan executors iterate
-//! node-major (every unit flows through one plan node before the next node
-//! runs).  The two orders fold the combined effect relation identically
+//! The oracle folds effects *unit-major* (each acting unit evaluates its
+//! whole script before the next unit starts) while the bytecode VM folds
+//! them statement-major (all units' effects of one `perform` site before the
+//! next site's).  The two orders fold the combined effect relation identically
 //! because effect combination is per `(unit, attribute)`: the per-key
 //! subsequence of emissions is the same in both traversals for
 //! self-targeting effects, and cross-unit effects in the built-in repertoire
@@ -271,8 +271,9 @@ impl sgl_lang::eval::AggregateProvider for ScanProvider<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ExecConfig;
-    use crate::interp::{execute_tick, ScriptRun};
+    use crate::compile::compile_script;
+    use crate::config::{ExecConfig, SpatialAttrs};
+    use crate::tick::{execute_tick, ScriptRun};
     use sgl_algebra::{optimize, translate};
     use sgl_env::{schema::paper_schema, GameRng, Schema, TupleBuilder};
     use sgl_lang::builtins::paper_registry;
@@ -327,6 +328,8 @@ mod tests {
         let script = parse_script(SCRIPT).unwrap();
         let normal = normalize(&script, &registry).unwrap();
         let plan = optimize(translate(&normal), &registry).plan;
+        let spatial = SpatialAttrs::from_schema(&schema);
+        let compiled = compile_script("example", &normal, &registry, &schema, spatial).unwrap();
         let rng = GameRng::new(11).for_tick(3);
         let acting: Vec<u32> = (0..table.len() as u32).collect();
 
@@ -342,7 +345,7 @@ mod tests {
         .unwrap();
 
         for config in [ExecConfig::naive(&schema), ExecConfig::indexed(&schema)] {
-            let runs = vec![ScriptRun::new(&plan, acting.clone())];
+            let runs = vec![ScriptRun::new(&plan, acting.clone()).with_compiled(&compiled)];
             let (effects, stats) = execute_tick(&table, &registry, &runs, &rng, &config).unwrap();
             assert_eq!(
                 oracle_effects.canonical(),

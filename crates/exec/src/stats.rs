@@ -28,7 +28,7 @@ pub const BACKEND_COUNT: usize = PhysicalBackend::ALL.len();
 /// Integral per-call-site observations of one tick.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallObs {
-    /// Aggregate evaluations actually performed (memo hits excluded).
+    /// Aggregate evaluations performed.
     pub probes: u64,
     /// Rows matched, summed over the probes where the executor could count
     /// them (divisible index probes report their accumulator count).
@@ -128,7 +128,7 @@ impl TickObservations {
         }
     }
 
-    /// Record one evaluated probe (called once per memo miss).
+    /// Record one evaluated probe.
     pub fn record_probe(&mut self, name: &str) {
         self.update(name, |e| e.probes += 1);
     }

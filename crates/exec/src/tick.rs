@@ -1,16 +1,19 @@
-//! Set-at-a-time interpretation of logical plans and action application.
+//! One clock tick of planned execution: fan the acting units out over
+//! shards, run every script's register bytecode on the VM (`vm` module),
+//! and fold the emitted effects into the tick's combined effect relation.
 //!
-//! Both executors interpret the *same* optimized plan and share the same
-//! semantics; they differ only in how `ExtendAgg` nodes and action clauses
-//! are answered:
+//! Both strategies of §6 run here, on the same bytecode; they differ only in
+//! whether the shard gets an index view:
 //!
-//! * the **naive** backend scans the environment for every aggregate probe and
-//!   for every action clause (`O(n)` per unit, `O(n²)` per tick);
-//! * the **indexed** backend answers aggregates from the per-tick
-//!   [`TickIndexes`] cache and resolves targeted/area action clauses through
-//!   key look-ups and enumeration indexes (§5.3/§5.4).
+//! * **naive** ([`ExecMode::Naive`](crate::ExecMode::Naive)) — no view:
+//!   every aggregate probe takes the reference scan and every perform clause
+//!   tests every row (`O(n)` per unit, `O(n²)` per tick);
+//! * **indexed** ([`ExecMode::Compiled`](crate::ExecMode::Compiled)) —
+//!   aggregates are answered from the per-tick [`TickIndexes`] cache and
+//!   targeted/area action clauses resolve through key look-ups and
+//!   enumeration indexes (§5.3/§5.4).
 //!
-//! Either backend can fan the acting units out over worker threads
+//! Either strategy can fan the acting units out over worker threads
 //! ([`crate::config::Parallelism`]).  The state-effect pattern makes this a
 //! pure performance knob: within a tick every unit reads the same immutable
 //! environment and the per-tick random function is a pure hash of
@@ -23,43 +26,36 @@
 //! IEEE addition is commutative but not associative and any regrouping or
 //! reordering of the partial sums could change the last bits.
 
-use std::hash::Hasher;
-
 use rustc_hash::FxHashMap;
 
 use sgl_algebra::LogicalPlan;
 use sgl_env::{AttrId, EffectBuffer, EnvTable, TickRandom, Value};
-use sgl_lang::ast::{AggCall, Term};
-use sgl_lang::builtins::{ActionDef, Registry};
-use sgl_lang::eval::{eval_cond, eval_term, EvalContext, NoAggregates, ScriptValue};
+use sgl_lang::builtins::Registry;
 
-use sgl_algebra::cost::PhysicalBackend;
-
-use crate::builtin_eval::{bind_params, eval_aggregate_scan, eval_call_args};
 use crate::compile::CompiledScript;
-use crate::config::{ExecConfig, ExecMode, TickStats};
+use crate::config::{ExecConfig, TickStats};
 use crate::error::{ExecError, Result};
-use crate::filter::analyze_filter;
-use crate::indexes::{hash_value, IndexManager, MatWrite, TickIndexes};
+use crate::indexes::{IndexManager, MatWrite, TickIndexes};
 use crate::planner::{plan_aggregate, PlannedAggregate};
 use crate::stats::TickObservations;
 
-/// One script to run in a tick: its optimized plan plus the acting units
-/// (row indices into the environment) that execute it.
+/// One script to run in a tick: its optimized plan and register bytecode
+/// plus the acting units (row indices into the environment) that execute it.
 #[derive(Debug, Clone)]
 pub struct ScriptRun<'p> {
-    /// The optimized logical plan of the script.
+    /// The optimized logical plan of the script (what `explain` renders;
+    /// execution runs the bytecode).
     pub plan: &'p LogicalPlan,
     /// Row indices of the units running this script.
     pub acting_rows: Vec<u32>,
-    /// Register bytecode for the script, if it was compiled.  Under
-    /// [`ExecMode::Compiled`] the run executes on the dispatch-loop VM;
-    /// a run without bytecode (or any other mode) walks the plan.
+    /// Register bytecode for the script ([`crate::compile_script`]).  A run
+    /// without it is refused with [`ExecError::Config`].
     pub compiled: Option<&'p CompiledScript>,
 }
 
 impl<'p> ScriptRun<'p> {
-    /// A plan-walking run (no bytecode attached).
+    /// A run of `plan` over `acting_rows`; attach the script's bytecode
+    /// with [`ScriptRun::with_compiled`] before executing it.
     pub fn new(plan: &'p LogicalPlan, acting_rows: Vec<u32>) -> Self {
         ScriptRun {
             plan,
@@ -68,8 +64,7 @@ impl<'p> ScriptRun<'p> {
         }
     }
 
-    /// Attach compiled bytecode, used when the mode is
-    /// [`ExecMode::Compiled`].
+    /// Attach the script's register bytecode.
     pub fn with_compiled(mut self, compiled: &'p CompiledScript) -> Self {
         self.compiled = Some(compiled);
         self
@@ -309,7 +304,7 @@ fn shard_runs<'p>(runs: &[ScriptRun<'p>], shards: usize) -> Vec<Vec<ScriptRun<'p
 }
 
 /// Execute one shard's slice of the tick: every run over the shard's acting
-/// rows, with shard-private effects, statistics, memo and probe cache.
+/// rows on the VM, with shard-private effects, statistics and probe cache.
 /// `direct` selects the [`EffectSink`] flavour (single-shard fold vs
 /// per-run logs for the parallel replay).
 fn run_shard<'a>(
@@ -324,7 +319,6 @@ fn run_shard<'a>(
     };
     let mut state = ShardState {
         cache,
-        memo: FxHashMap::default(),
         obs: TickObservations::default(),
         effects: if direct {
             EffectSink::Direct(EffectBuffer::new(shared.table.schema().clone()))
@@ -334,32 +328,20 @@ fn run_shard<'a>(
         stats: TickStats::default(),
     };
     for run in runs {
-        match run.compiled {
-            // Compiled mode with bytecode: the register VM.  A compiled run
-            // in any other mode still walks the plan — the bytecode is a
-            // pure execution strategy, not a semantic switch.
-            Some(compiled) if shared.config.mode == ExecMode::Compiled => {
-                crate::vm::run_compiled(shared, &mut state, compiled, &run.acting_rows)?;
-            }
-            _ => {
-                let mut interp = Interp {
-                    shared,
-                    state: &mut state,
-                };
-                interp.run_effects(
-                    run.plan,
-                    &run.acting_rows,
-                    &vec![FxHashMap::default(); run.acting_rows.len()],
-                )?;
-            }
-        }
+        let compiled = run.compiled.ok_or_else(|| {
+            ExecError::Config(
+                "a script run carries no bytecode; compile the script with \
+                 `compile_script` and attach it with `ScriptRun::with_compiled`"
+                    .into(),
+            )
+        })?;
+        crate::vm::run_compiled(shared, &mut state, compiled, &run.acting_rows)?;
         state.effects.finish_run();
     }
     let mut mat_writes = Vec::new();
     if let Some(mut cache) = state.cache.take() {
         mat_writes = cache.take_mat_writes();
         state.stats.merge(&cache.stats);
-        state.obs.merge(&cache.obs);
     }
     Ok((state.effects, state.stats, state.obs, mat_writes))
 }
@@ -376,335 +358,26 @@ pub(crate) struct TickShared<'a> {
     pub(crate) planned: &'a FxHashMap<String, PlannedAggregate>,
 }
 
-/// Mutable state owned by one shard: its effect sink and statistics, the
-/// aggregate-sharing memo (keyed per unit row, so sharding never splits a
-/// unit's probes) and, in indexed mode, its per-tick probe cache.
+/// Mutable state owned by one shard: its effect sink and statistics and, in
+/// indexed mode, its per-tick probe cache.
 pub(crate) struct ShardState<'a> {
     pub(crate) cache: Option<TickIndexes<'a>>,
-    /// Memo of aggregate results per (call fingerprint, unit row).
-    pub(crate) memo: FxHashMap<(u64, u32), ScriptValue>,
-    /// Per-call-site observations for the cost-based planner (merged with
-    /// the cache's own observations at shard end).
+    /// Per-call-site observations for the cost-based planner.
     pub(crate) obs: TickObservations,
     pub(crate) effects: EffectSink,
     pub(crate) stats: TickStats,
 }
 
-/// Fingerprint of one aggregate probe for the sharing memo: the call name
-/// plus the rendered argument values, every component length-delimited and
-/// type-tagged so the *encoding* is injective before it is hashed to 64
-/// bits — the same discipline (and the same residual 2⁻⁶⁴-per-pair collision
-/// odds) as the partition-key fingerprints of `indexes.rs`.  Replaces the
-/// former per-probe `format!("{name}::{args:?}")` string key.
-pub(crate) fn fingerprint_call(name: &str, args: &[ScriptValue]) -> u64 {
-    let mut h = rustc_hash::FxHasher::default();
-    h.write_usize(name.len());
-    h.write(name.as_bytes());
-    for arg in args {
-        match arg {
-            ScriptValue::Scalar(v) => {
-                h.write_u8(0);
-                hash_value(&mut h, v);
-            }
-            ScriptValue::Record(fields) => {
-                h.write_u8(1);
-                h.write_usize(fields.len());
-                for (field, v) in fields {
-                    h.write_usize(field.len());
-                    h.write(field.as_bytes());
-                    hash_value(&mut h, v);
-                }
-            }
-        }
-    }
-    h.finish()
-}
-
-struct Interp<'a, 'p> {
-    shared: &'p TickShared<'a>,
-    state: &'p mut ShardState<'a>,
-}
-
-type Bindings = FxHashMap<String, ScriptValue>;
-
-impl<'a, 'p> Interp<'a, 'p> {
-    fn ctx_for(&self, row: u32, bindings: &Bindings) -> EvalContext<'a> {
-        let shared = self.shared;
-        let schema = shared.table.schema();
-        let unit = shared.table.row(row as usize);
-        let mut ctx = EvalContext::new(schema, unit, shared.rng, shared.constants);
-        ctx.bindings = bindings.clone();
-        ctx
-    }
-
-    /// Evaluate a relation-producing node: returns the surviving rows and
-    /// their extended-column bindings.
-    fn eval_rel(
-        &mut self,
-        plan: &LogicalPlan,
-        acting: &[u32],
-        binds: &[Bindings],
-    ) -> Result<(Vec<u32>, Vec<Bindings>)> {
-        match plan {
-            LogicalPlan::Scan => Ok((acting.to_vec(), binds.to_vec())),
-            LogicalPlan::Select { input, predicate } => {
-                let (rows, bs) = self.eval_rel(input, acting, binds)?;
-                let mut out_rows = Vec::with_capacity(rows.len());
-                let mut out_binds = Vec::with_capacity(rows.len());
-                let mut no_aggs = NoAggregates;
-                for (row, b) in rows.into_iter().zip(bs) {
-                    let ctx = self.ctx_for(row, &b);
-                    if eval_cond(predicate, &ctx, &mut no_aggs)? {
-                        out_rows.push(row);
-                        out_binds.push(b);
-                    }
-                }
-                Ok((out_rows, out_binds))
-            }
-            LogicalPlan::ExtendExpr { input, name, term } => {
-                let (rows, mut bs) = self.eval_rel(input, acting, binds)?;
-                let mut no_aggs = NoAggregates;
-                for (row, b) in rows.iter().zip(bs.iter_mut()) {
-                    let ctx = self.ctx_for(*row, b);
-                    let v = eval_term(term, &ctx, &mut no_aggs)?;
-                    b.insert(name.clone(), v);
-                }
-                Ok((rows, bs))
-            }
-            LogicalPlan::ExtendAgg { input, name, call } => {
-                let (rows, mut bs) = self.eval_rel(input, acting, binds)?;
-                for (row, b) in rows.iter().zip(bs.iter_mut()) {
-                    let v = self.eval_aggregate(call, *row, b)?;
-                    b.insert(name.clone(), v);
-                }
-                Ok((rows, bs))
-            }
-            other => Err(ExecError::Internal(format!(
-                "{other:?} is not a relation-producing node"
-            ))),
-        }
-    }
-
-    /// Run an effect-producing node.
-    fn run_effects(
-        &mut self,
-        plan: &LogicalPlan,
-        acting: &[u32],
-        binds: &[Bindings],
-    ) -> Result<()> {
-        match plan {
-            LogicalPlan::Empty => Ok(()),
-            LogicalPlan::CombineWithEnv { input } => self.run_effects(input, acting, binds),
-            LogicalPlan::Combine { inputs } => {
-                for input in inputs {
-                    self.run_effects(input, acting, binds)?;
-                }
-                Ok(())
-            }
-            LogicalPlan::Apply {
-                input,
-                action,
-                args,
-            } => {
-                let (rows, bs) = self.eval_rel(input, acting, binds)?;
-                let def = self
-                    .shared
-                    .registry
-                    .action(action)
-                    .ok_or_else(|| ExecError::UnknownBuiltin(action.clone()))?
-                    .clone();
-                self.state.stats.acting_units += rows.len();
-                for (row, b) in rows.iter().zip(bs.iter()) {
-                    self.apply_action(&def, args, *row, b)?;
-                }
-                Ok(())
-            }
-            // A bare relation node at the effect level produces no effects
-            // (can appear for scripts that only compute).
-            _ => Ok(()),
-        }
-    }
-
-    /// Evaluate one aggregate call for one unit.
-    fn eval_aggregate(
-        &mut self,
-        call: &AggCall,
-        row: u32,
-        bindings: &Bindings,
-    ) -> Result<ScriptValue> {
-        self.state.stats.aggregate_probes += 1;
-        let ctx = self.ctx_for(row, bindings);
-        let args = eval_call_args(&call.args, &ctx)?;
-        // Aggregates whose arguments depend on let-bound columns cannot be
-        // keyed on the call alone; the fingerprint covers the rendered
-        // argument values.
-        let memo_key = self
-            .shared
-            .config
-            .share_aggregates
-            .then(|| (fingerprint_call(&call.name, &args), row));
-        if let Some(key) = &memo_key {
-            if let Some(v) = self.state.memo.get(key) {
-                self.state.stats.shared_hits += 1;
-                return Ok(v.clone());
-            }
-        }
-        let def = self
-            .shared
-            .registry
-            .aggregate(&call.name)
-            .ok_or_else(|| ExecError::UnknownBuiltin(call.name.clone()))?;
-        let params = bind_params(&def.name, &def.params, &args)?;
-
-        self.state.obs.record_probe(&call.name);
-        let result = if self.shared.config.mode.uses_indexes() {
-            let planned = self.shared.planned.get(&call.name).ok_or_else(|| {
-                ExecError::Internal(format!(
-                    "aggregate `{}` missing from the plan cache",
-                    call.name
-                ))
-            })?;
-            // Built-in definitions are closed (see `TickIndexes::evaluate`),
-            // so the probe context carries the bound parameters and nothing
-            // from the calling script's scope.
-            let probe_ctx = EvalContext {
-                schema: ctx.schema,
-                unit: ctx.unit,
-                unit_key: ctx.unit_key,
-                row: None,
-                rng: ctx.rng,
-                constants: ctx.constants,
-                bindings: params,
-            };
-            let via_index = match self.state.cache.as_mut() {
-                Some(cache) => cache.evaluate(planned, &probe_ctx)?,
-                None => None,
-            };
-            match via_index {
-                Some(v) => v,
-                None => {
-                    self.state.stats.naive_scans += 1;
-                    self.state
-                        .obs
-                        .record_served(&call.name, PhysicalBackend::Scan);
-                    eval_aggregate_scan(def, &probe_ctx.bindings, &ctx, self.shared.table)?
-                }
-            }
-        } else {
-            self.state.stats.naive_scans += 1;
-            self.state
-                .obs
-                .record_served(&call.name, PhysicalBackend::Scan);
-            eval_aggregate_scan(def, &params, &ctx, self.shared.table)?
-        };
-        if let Some(key) = memo_key {
-            self.state.memo.insert(key, result.clone());
-        }
-        Ok(result)
-    }
-
-    /// Apply a built-in action for one acting unit.
-    fn apply_action(
-        &mut self,
-        def: &ActionDef,
-        args: &[Term],
-        row: u32,
-        bindings: &Bindings,
-    ) -> Result<()> {
-        let ctx = self.ctx_for(row, bindings);
-        let arg_values = eval_call_args(args, &ctx)?;
-        let params = bind_params(&def.name, &def.params, &arg_values)?;
-        let mut full_ctx = self.ctx_for(row, bindings);
-        for (k, v) in &params {
-            full_ctx.bindings.insert(k.clone(), v.clone());
-        }
-        let config = self.shared.config;
-        let schema = self.shared.table.schema();
-        let mut no_aggs = NoAggregates;
-
-        for clause in &def.clauses {
-            // Determine the affected rows.
-            let full_range = || (0..self.shared.table.len() as u32).collect::<Vec<u32>>();
-            let candidates: Vec<u32> = if config.mode.uses_indexes() {
-                let analysis = analyze_filter(&clause.filter, schema, config.spatial);
-                if let Some(key_term) = &analysis.key_eq {
-                    // Targeted effect: O(1) key look-up.
-                    let key = eval_term(key_term, &full_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .as_i64()?;
-                    match self.shared.table.find_key_readonly(key) {
-                        Some(idx) => vec![idx as u32],
-                        None => Vec::new(),
-                    }
-                } else if let (true, Some(x_lo), Some(x_hi), Some(y_lo), Some(y_hi)) = (
-                    config.aoe_index && analysis.conjunctive,
-                    &analysis.x_lo,
-                    &analysis.x_hi,
-                    &analysis.y_lo,
-                    &analysis.y_hi,
-                ) {
-                    // Area-of-effect: enumerate candidates through the spatial
-                    // index of every partition (§5.4-style processing).
-                    let mut no_aggs2 = NoAggregates;
-                    let lo_x = eval_term(x_lo, &full_ctx, &mut no_aggs2)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let hi_x = eval_term(x_hi, &full_ctx, &mut no_aggs2)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let lo_y = eval_term(y_lo, &full_ctx, &mut no_aggs2)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let hi_y = eval_term(y_hi, &full_ctx, &mut no_aggs2)?
-                        .as_scalar()?
-                        .as_f64()?;
-                    let rect = sgl_index::Rect::new(lo_x, hi_x, lo_y, hi_y);
-                    match self.state.cache.as_mut() {
-                        Some(cache) => {
-                            let fps = cache.partition_fps_for(&[])?;
-                            let mut rows = Vec::new();
-                            for fp in fps {
-                                rows.extend(cache.enum_query(&[], fp, &rect)?);
-                            }
-                            rows
-                        }
-                        None => full_range(),
-                    }
-                } else {
-                    full_range()
-                }
-            } else {
-                full_range()
-            };
-
-            for target in candidates {
-                let target_row = self.shared.table.row(target as usize);
-                let row_ctx = full_ctx.with_row(target_row);
-                if !eval_cond(&clause.filter, &row_ctx, &mut no_aggs)? {
-                    continue;
-                }
-                let target_key = target_row.key(schema);
-                for (attr_name, term) in &clause.effects {
-                    let attr = schema.attr_id(attr_name).ok_or_else(|| {
-                        ExecError::Internal(format!("unknown effect attribute `{attr_name}`"))
-                    })?;
-                    let value = eval_term(term, &row_ctx, &mut no_aggs)?
-                        .as_scalar()?
-                        .clone();
-                    self.state.effects.emit(target_key, attr, value)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile_script;
+    use crate::config::SpatialAttrs;
     use sgl_algebra::{optimize, translate};
     use sgl_env::{schema::paper_schema, GameRng, Schema, TupleBuilder};
+    use sgl_lang::ast::Term;
     use sgl_lang::builtins::paper_registry;
+    use sgl_lang::eval::EvalContext;
     use sgl_lang::normalize::normalize;
     use sgl_lang::parse_script;
     use std::sync::Arc;
@@ -737,10 +410,16 @@ mod tests {
         (schema, table)
     }
 
-    fn compile(src: &str, registry: &Registry) -> LogicalPlan {
+    /// A script's optimized plan and its bytecode, compiled against the
+    /// paper schema's spatial attributes.
+    fn compile(src: &str, registry: &Registry) -> (LogicalPlan, CompiledScript) {
         let script = parse_script(src).unwrap();
         let normal = normalize(&script, registry).unwrap();
-        optimize(translate(&normal), registry).plan
+        let plan = optimize(translate(&normal), registry).plan;
+        let schema = paper_schema();
+        let spatial = SpatialAttrs::from_schema(&schema);
+        let compiled = compile_script("test", &normal, registry, &schema, spatial).unwrap();
+        (plan, compiled)
     }
 
     const SCRIPT: &str = r#"
@@ -757,11 +436,11 @@ mod tests {
         mode_config: ExecConfig,
         table: &EnvTable,
         registry: &Registry,
-        plan: &LogicalPlan,
+        (plan, compiled): &(LogicalPlan, CompiledScript),
     ) -> (EffectBuffer, TickStats) {
         let rng = GameRng::new(42).for_tick(1);
         let acting: Vec<u32> = (0..table.len() as u32).collect();
-        let runs = vec![ScriptRun::new(plan, acting)];
+        let runs = vec![ScriptRun::new(plan, acting).with_compiled(compiled)];
         execute_tick(table, registry, &runs, &rng, &mode_config).unwrap()
     }
 
@@ -786,10 +465,12 @@ mod tests {
             assert!((fa - fb).abs() < 1e-9, "key {ka} attr {aa}: {fa} vs {fb}");
         }
         // The naive run answered every aggregate by scanning; the indexed one
-        // answered (almost) everything through indexes or the memo.
+        // answered every aggregate through an index.
         assert!(naive_stats.naive_scans > 0);
+        assert_eq!(naive_stats.naive_scans, naive_stats.aggregate_probes);
+        assert_eq!(naive_stats.index_probes, 0);
         assert_eq!(indexed_stats.naive_scans, 0);
-        assert!(indexed_stats.index_probes > 0 || indexed_stats.shared_hits > 0);
+        assert_eq!(indexed_stats.index_probes, indexed_stats.aggregate_probes);
     }
 
     #[test]
@@ -814,10 +495,10 @@ mod tests {
                 .build();
             table.insert(t).unwrap();
         }
-        let plan = compile("main(u) { perform Heal(u); }", &registry);
+        let (plan, compiled) = compile("main(u) { perform Heal(u); }", &registry);
         for config in [ExecConfig::naive(&schema), ExecConfig::indexed(&schema)] {
             let rng = GameRng::new(1).for_tick(0);
-            let runs = vec![ScriptRun::new(&plan, vec![0])];
+            let runs = vec![ScriptRun::new(&plan, vec![0]).with_compiled(&compiled)];
             let (effects, _) = execute_tick(&table, &registry, &runs, &rng, &config).unwrap();
             let aura = schema.attr_id("inaura").unwrap();
             assert!(
@@ -850,13 +531,13 @@ mod tests {
                 .build();
             table.insert(t).unwrap();
         }
-        let plan = compile(
+        let (plan, compiled) = compile(
             "main(u) { if u.cooldown = 0 then perform FireAt(u, getNearestEnemy(u).key); }",
             &registry,
         );
         let config = ExecConfig::indexed(&schema);
         let rng = GameRng::new(5).for_tick(2);
-        let runs = vec![ScriptRun::new(&plan, vec![0])];
+        let runs = vec![ScriptRun::new(&plan, vec![0]).with_compiled(&compiled)];
         let (effects, stats) = execute_tick(&table, &registry, &runs, &rng, &config).unwrap();
         let weapon = schema.attr_id("weaponused").unwrap();
         let damage = schema.attr_id("damage").unwrap();
@@ -872,20 +553,38 @@ mod tests {
     fn empty_plan_and_unknown_action_errors() {
         let registry = paper_registry();
         let (schema, table) = make_table(4, 10.0);
-        let plan = LogicalPlan::CombineWithEnv {
-            input: Box::new(LogicalPlan::Empty),
-        };
         let rng = GameRng::new(1).for_tick(0);
-        let runs = vec![ScriptRun::new(&plan, vec![0, 1, 2, 3])];
+        // A script whose only branch never fires emits nothing.
+        let idle = compile(
+            "main(u) { if u.health < 0 then perform MoveInDirection(u, 0, 0); }",
+            &registry,
+        );
+        let runs = vec![ScriptRun::new(&idle.0, vec![0, 1, 2, 3]).with_compiled(&idle.1)];
         let (effects, stats) =
             execute_tick(&table, &registry, &runs, &rng, &ExecConfig::naive(&schema)).unwrap();
         assert!(effects.is_empty());
         assert_eq!(stats.aggregate_probes, 0);
 
-        let bad = LogicalPlan::Scan.apply("Teleport", vec![]);
-        let runs = vec![ScriptRun::new(&bad, vec![0])];
+        // A run without bytecode is refused, never silently skipped.
+        let runs = vec![ScriptRun::new(&idle.0, vec![0])];
         let err = execute_tick(&table, &registry, &runs, &rng, &ExecConfig::naive(&schema));
-        assert!(matches!(err, Err(ExecError::UnknownBuiltin(_))));
+        assert!(matches!(err, Err(ExecError::Config(_))), "{err:?}");
+
+        // An unknown action never compiles; an aggregate the executing
+        // registry lacks fails the tick with a typed error.
+        let script = parse_script("main(u) { perform Teleport(u); }").unwrap();
+        let normal = normalize(&script, &registry).unwrap();
+        let spatial = SpatialAttrs::from_schema(&schema);
+        assert!(compile_script("bad", &normal, &registry, &schema, spatial).is_err());
+        let counting = compile(
+            "main(u) { (let c = CountEnemiesInRange(u, 5)) if c > 0 then perform MoveInDirection(u, 0, 0); }",
+            &registry,
+        );
+        let mut bare = Registry::new();
+        bare.register_action(registry.action("MoveInDirection").unwrap().clone());
+        let runs = vec![ScriptRun::new(&counting.0, vec![0]).with_compiled(&counting.1)];
+        let err = execute_tick(&table, &bare, &runs, &rng, &ExecConfig::naive(&schema));
+        assert!(matches!(err, Err(ExecError::UnknownBuiltin(_))), "{err:?}");
     }
 
     /// The Send/Sync audit behind the parallel executor: everything a worker
@@ -981,14 +680,14 @@ mod tests {
                 .build();
             table.insert(t).unwrap();
         }
-        let plan = compile("main(u) { perform Push(u, 0); }", &registry);
+        let (plan, compiled) = compile("main(u) { perform Push(u, 0); }", &registry);
         let run = |threads: usize| -> Value {
             let config = match threads {
                 0 | 1 => ExecConfig::naive(&schema),
                 n => ExecConfig::naive(&schema).with_parallelism(Parallelism::Threads(n)),
             };
             let rng = GameRng::new(1).for_tick(0);
-            let runs = vec![ScriptRun::new(&plan, vec![0, 1, 2])];
+            let runs = vec![ScriptRun::new(&plan, vec![0, 1, 2]).with_compiled(&compiled)];
             let (effects, _) = execute_tick(&table, &registry, &runs, &rng, &config).unwrap();
             effects
                 .get(0, schema.attr_id("movevect_x").unwrap())
@@ -1042,7 +741,7 @@ mod tests {
                 .build();
             table.insert(t).unwrap();
         }
-        let plan = compile("main(u) { perform Push(u, 0); }", &registry);
+        let (plan, compiled) = compile("main(u) { perform Push(u, 0); }", &registry);
         let run = |threads: usize| -> Value {
             let config = match threads {
                 0 | 1 => ExecConfig::naive(&schema),
@@ -1050,8 +749,8 @@ mod tests {
             };
             let rng = GameRng::new(1).for_tick(0);
             let runs = vec![
-                ScriptRun::new(&plan, vec![0, 1]),
-                ScriptRun::new(&plan, vec![2]),
+                ScriptRun::new(&plan, vec![0, 1]).with_compiled(&compiled),
+                ScriptRun::new(&plan, vec![2]).with_compiled(&compiled),
             ];
             let (effects, _) = execute_tick(&table, &registry, &runs, &rng, &config).unwrap();
             effects
@@ -1093,51 +792,5 @@ mod tests {
             let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(hi - lo <= 1, "{sizes:?}");
         }
-    }
-
-    #[test]
-    fn call_fingerprints_are_length_delimited() {
-        let a = fingerprint_call("Count", &[ScriptValue::scalar(1i64)]);
-        assert_eq!(a, fingerprint_call("Count", &[ScriptValue::scalar(1i64)]));
-        assert_ne!(a, fingerprint_call("Count", &[ScriptValue::scalar(2i64)]));
-        assert_ne!(a, fingerprint_call("Count", &[ScriptValue::scalar(1.0)]));
-        assert_ne!(a, fingerprint_call("Coun", &[ScriptValue::scalar(1i64)]));
-        // Record boundaries are delimited: {ab}{c} differs from {a}{bc}.
-        let r1 = fingerprint_call(
-            "f",
-            &[ScriptValue::record(vec![
-                ("ab".into(), Value::Int(1)),
-                ("c".into(), Value::Int(2)),
-            ])],
-        );
-        let r2 = fingerprint_call(
-            "f",
-            &[ScriptValue::record(vec![
-                ("a".into(), Value::Int(1)),
-                ("bc".into(), Value::Int(2)),
-            ])],
-        );
-        assert_ne!(r1, r2);
-    }
-
-    #[test]
-    fn shared_aggregates_reduce_probes() {
-        let registry = paper_registry();
-        let (schema, table) = make_table(40, 30.0);
-        // A script whose two branches both need the same count → the memo
-        // answers the duplicated ExtendAgg nodes.
-        let plan = compile(
-            r#"main(u) {
-                (let c = CountEnemiesInRange(u, 9))
-                if c > 2 then perform MoveInDirection(u, 0, 0);
-                else perform MoveInDirection(u, u.posx, u.posy);
-            }"#,
-            &registry,
-        );
-        let (_, stats) = run_mode(ExecConfig::indexed(&schema), &table, &registry, &plan);
-        assert!(
-            stats.shared_hits > 0,
-            "duplicated branch aggregates should hit the memo: {stats:?}"
-        );
     }
 }

@@ -1,33 +1,27 @@
-//! The register-machine evaluator for [`CompiledScript`]s — the hot loop of
-//! `ExecMode::Compiled`.
+//! The register-machine evaluator for [`CompiledScript`]s — the one executor
+//! of planned (`Naive` and `Compiled`) ticks.
 //!
 //! One [`Vm`] executes one script for one shard's acting units.  Per unit it
 //! runs the flat instruction array in a dispatch loop over a register file
 //! of `ScriptValue`s; every name, attribute and call target was resolved at
 //! compile time, and aggregate definitions / physical plans are resolved
 //! once per shard run (the cost-based planner may change backends between
-//! ticks), so nothing in the per-unit path performs a string lookup.
+//! ticks), so nothing in the per-unit path performs a string lookup.  Without
+//! an index view (the naive strategy) every `CallAgg` takes the reference
+//! scan and every perform clause tests every row.
 //!
-//! **Determinism contract.**  The interpreter emits effects
-//! *statement-major*: for each `perform` site, all acting units' effects in
-//! unit order (clauses in definition order per unit).  The VM executes
-//! *unit-major* (each unit runs its whole script before the next), which is
-//! the cache-friendly order, and buffers effects per perform site; after the
-//! shard's units finish it replays the buffers site-major.  The replayed
-//! emission sequence is therefore exactly the interpreter's, so the `⊕`
-//! fold — including non-associative float sums — stays bit-identical, and
-//! the run-major parallel replay of `interp.rs` composes unchanged on top.
+//! **Determinism contract.**  Effects are emitted *statement-major*: for
+//! each `perform` site, all acting units' effects in unit order (clauses in
+//! definition order per unit) — the fold order the golden digests pin.  The
+//! VM executes *unit-major* (each unit runs its whole script before the
+//! next), which is the cache-friendly order, and buffers effects per perform
+//! site; after the shard's units finish it replays the buffers site-major.
+//! The `⊕` fold — including non-associative float sums — is therefore the
+//! same at every shard count, and the run-major parallel replay of
+//! `tick.rs` composes unchanged on top.
 //!
-//! Aggregate probes hit the same per-tick index cache and the same scan
-//! fallback as the interpreter, but skip the interpreter's sharing memo: the
-//! memo exists because the plan walker duplicates hoisted aggregate calls
-//! across `Apply` statements, whereas the bytecode calls each site exactly
-//! once per unit, so a `(site, unit)` key could never repeat within a run
-//! and the fingerprint + map traffic would be pure overhead.  Results are
-//! identical either way — aggregates are pure functions of the tick-frozen
-//! environment — but the bookkeeping *counts* (`aggregate_probes`,
-//! `shared_hits`) legitimately differ from interpreted runs, which the
-//! conformance digests do not observe.
+//! Each aggregate site is reached at most once per unit, so results are
+//! never memoized: [`crate::TickStats::shared_hits`] stays 0.
 //!
 //! **The call boundary is compiled too.**  Behind `CallAgg` and `Perform`
 //! nothing is interpreted per probe: the probe rectangle, the categorical
@@ -58,9 +52,9 @@ use crate::closed::{flatten_args, ClosedEnv};
 use crate::compile::{ClauseTarget, CompiledScript, Instr, RectCode};
 use crate::error::{ExecError, Result};
 use crate::indexes::{ProbeArgs, ProbeSite, Probed, RecordOut};
-use crate::interp::{ShardState, TickShared};
 use crate::planner::PlannedAggregate;
 use crate::stats::CallObs;
+use crate::tick::{ShardState, TickShared};
 
 /// An aggregate call site resolved against this tick's registry, plan cache
 /// and index state — once per shard run, so a probe looks nothing up.
@@ -125,7 +119,7 @@ fn eval_rect(
 }
 
 /// Execute one compiled script for `acting_rows` within a shard, emitting
-/// effects into the shard's sink in the interpreter's exact order.
+/// effects into the shard's sink in statement-major order.
 pub(crate) fn run_compiled<'a>(
     shared: &TickShared<'a>,
     state: &mut ShardState<'a>,
@@ -172,7 +166,7 @@ pub(crate) fn run_compiled<'a>(
         })
         .collect::<Result<Vec<_>>>()?;
     // Missing names only error if an instruction actually reads them —
-    // exactly when the interpreter's lazy per-probe lookup would.
+    // exactly when the oracle's lazy lookup would.
     let consts: Vec<Option<&Value>> = compiled
         .names
         .const_names
@@ -203,7 +197,7 @@ pub(crate) fn run_compiled<'a>(
             state.obs.fold(&resolved.def.name, &site.obs);
         }
     }
-    // Site-major replay = the interpreter's statement-major emission order.
+    // Site-major replay = statement-major emission order.
     for log in vm.site_logs {
         for (key, attr, value) in log {
             state.effects.emit(key, attr, value)?;
@@ -295,7 +289,7 @@ impl Vm {
                                     val
                                 }
                             },
-                            // Same error as the interpreter's `v.field(..)`.
+                            // Same error as the oracle's `v.field(..)`.
                             ScriptValue::Scalar(_) => v.field(name)?.clone(),
                         }
                     };
@@ -363,9 +357,7 @@ impl Vm {
     /// closed code over the flattened arguments — into [`ProbeArgs`] and let
     /// [`crate::indexes::TickIndexes::probe`] write the answer straight into
     /// the destination register; the rest take the reference scan, which is
-    /// the only place a name-keyed parameter map is built.  The sharing memo
-    /// is skipped (see the module docs — a `(site, unit)` key cannot repeat
-    /// within a run).
+    /// the only place a name-keyed parameter map is built.
     #[allow(clippy::too_many_arguments)]
     fn call_aggregate<'a>(
         &mut self,
@@ -445,10 +437,9 @@ impl Vm {
         Ok(())
     }
 
-    /// One perform-site execution for one unit: the interpreter's
-    /// `apply_action` with candidate enumeration, the per-candidate filter
-    /// and the effect values all closed code, buffering emissions into the
-    /// site's log.  The clause loop reuses one environment, flipping its
+    /// One perform-site execution for one unit: candidate enumeration, the
+    /// per-candidate filter and the effect values all closed code, buffering
+    /// emissions into the site's log.  The clause loop reuses one environment, flipping its
     /// candidate row in place.
     #[allow(clippy::too_many_arguments)]
     fn perform(

@@ -156,8 +156,8 @@ pub trait AggIndex {
 
     /// Coarse cost class of absorbing one [`IndexDelta`] — the
     /// patch-vs-rebuild hint behind the cost model's calibrated delta
-    /// constants (`sgl-bench` asserts the maintained grid's advertised
-    /// class before measuring them).  Defaults to
+    /// constants (`examples/calibrate_costs.rs` asserts the maintained
+    /// grid's advertised class before measuring them).  Defaults to
     /// [`DeltaCostClass::RebuildOnly`] for structures without delta
     /// support.
     fn delta_cost_class(&self) -> DeltaCostClass {

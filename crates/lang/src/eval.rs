@@ -1,10 +1,9 @@
 //! Term and condition evaluation — the semantics functions `[[·]]term` and
 //! `[[·]]cond` of §4.3.
 //!
-//! Evaluation is parameterised over an [`AggregateProvider`] so that the same
-//! interpreter serves the naive executor (which computes aggregates by
-//! scanning `E`) and the indexed executor (which answers them from per-tick
-//! index structures).
+//! Evaluation is parameterised over an [`AggregateProvider`], so callers
+//! decide how an embedded aggregate is answered (the oracle executor scans
+//! `E`; callers that hoisted every aggregate pass [`NoAggregates`]).
 
 use std::fmt;
 

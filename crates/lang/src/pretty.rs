@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::ast::{Action, BinOp, CmpOp, Cond, Script, Term, VarRef};
+use sgl_env::Value;
 
 /// Render a term as SGL source.
 pub fn term_to_string(term: &Term) -> String {
@@ -68,6 +69,11 @@ fn cmpop_str(op: CmpOp) -> &'static str {
 
 fn write_term(out: &mut String, term: &Term) {
     match term {
+        // An integral float keeps its decimal point, so it re-parses as a
+        // float rather than as the equal-valued integer.
+        Term::Const(Value::Float(x)) if x.is_finite() && x.fract() == 0.0 => {
+            let _ = write!(out, "{x:.1}");
+        }
         Term::Const(v) => {
             let _ = write!(out, "{v}");
         }
@@ -267,6 +273,22 @@ mod tests {
             let reparsed = parse_term(&printed).unwrap();
             assert_eq!(t, reparsed, "term `{src}` printed as `{printed}`");
         }
+    }
+
+    /// `Value`'s `==` is loose (`3 == 3.0`), so the round trip above cannot
+    /// see an integral float printed as an integer; check the type itself.
+    #[test]
+    fn integral_float_literals_keep_their_type() {
+        let t = parse_term("u.health / 3.0 + 3").unwrap();
+        let printed = term_to_string(&t);
+        assert!(printed.contains("3.0"), "{printed}");
+        let Term::Bin { left, .. } = parse_term(&printed).unwrap() else {
+            panic!("`{printed}` is not a sum");
+        };
+        let Term::Bin { right, .. } = *left else {
+            panic!("`{printed}` is not a quotient plus a term");
+        };
+        assert!(matches!(*right, Term::Const(Value::Float(x)) if x == 3.0));
     }
 
     #[test]

@@ -38,33 +38,26 @@ pub use soak::{run_soak, SoakFailure, SoakReport, SoakSpec};
 pub use world_gen::{generate_world, GeneratedWorld, WorldLayout, WorldSpec};
 
 use sgl_core::env::Schema;
-use sgl_core::exec::{
-    ExecConfig, ExecMode, MaintenancePolicy, Parallelism, PlannerMode, RebuildBackend,
-};
+use sgl_core::exec::{ExecConfig, MaintenancePolicy, Parallelism, PlannerMode, RebuildBackend};
 
 /// The full executor-configuration lattice the conformance and golden-digest
-/// suites sweep (37 configurations):
+/// suites sweep (27 configurations):
 ///
 /// ```text
 /// {naive, planned} × {RebuildEachTick, Incremental, Adaptive}
 ///                  × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
 ///   + costbased(window=2) × {serial, 2, 4 threads}
 ///   + materialized × {serial, 2, 4 threads}
-///   + compiled × {rebuild/layered × {serial, 2t, 4t},
-///                 incremental/layered/serial, adaptive/quadtree/4t,
-///                 costbased/w2 × {serial, 4t},
-///                 materialized × {serial, 2t, 4t}}
 /// ```
 ///
-/// Maintenance policy and rebuild backend are index-layer knobs, so the
-/// naive executor contributes one entry per thread count.  The cost-based
-/// rows run the adaptive planner with a 2-tick re-costing window, so a 4–6
-/// tick conformance case re-costs (and may swap backends per call site)
-/// mid-run — proving adaptivity is observationally neutral.  The `planned/`
-/// rows pin [`ExecMode::Indexed`] (the plan interpreter) explicitly — the
-/// preset default is env-sensitive — and the `compiled/` rows exercise the
-/// register-bytecode VM over a representative policy × backend × thread
-/// diagonal.  The oracle configuration ([`ExecConfig::oracle`]) is
+/// Every row runs the register-bytecode VM (the `naive/` rows without an
+/// index view, the `planned/` rows under
+/// [`ExecMode::Compiled`](sgl_core::exec::ExecMode::Compiled)).  Maintenance policy and rebuild backend are
+/// index-layer knobs, so the naive executor contributes one entry per
+/// thread count.  The cost-based rows run the adaptive planner with a 2-tick
+/// re-costing window, so a 4–6 tick conformance case re-costs (and may swap
+/// backends per call site) mid-run — proving adaptivity is observationally
+/// neutral.  The oracle configuration ([`ExecConfig::oracle`]) is
 /// deliberately *not* part of the lattice: it is the reference the lattice
 /// is compared against.
 pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
@@ -91,7 +84,6 @@ pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
                 configs.push((
                     format!("planned/{pname}/{bname}/{tname}"),
                     ExecConfig::indexed(schema)
-                        .with_mode(ExecMode::Indexed)
                         .with_policy(policy)
                         .with_backend(backend)
                         .with_parallelism(par),
@@ -101,7 +93,6 @@ pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
         configs.push((
             format!("planned/costbased/w2/{tname}"),
             ExecConfig::cost_based(schema)
-                .with_mode(ExecMode::Indexed)
                 .with_planner(PlannerMode::cost_based(2))
                 .with_parallelism(par),
         ));
@@ -112,68 +103,6 @@ pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
         configs.push((
             format!("planned/materialized/{tname}"),
             ExecConfig::cost_based(schema)
-                .with_mode(ExecMode::Indexed)
-                .with_planner(PlannerMode::ForceMaterialized)
-                .with_parallelism(par),
-        ));
-    }
-    // Register-bytecode VM entries: a representative diagonal through
-    // policy × backend × threads rather than the full product — the VM
-    // shares the index layer with the plan interpreter, so the cross
-    // product above already sweeps those knobs exhaustively.
-    let compiled = |policy, backend, par| {
-        ExecConfig::indexed(schema)
-            .with_mode(ExecMode::Compiled)
-            .with_policy(policy)
-            .with_backend(backend)
-            .with_parallelism(par)
-    };
-    for (tname, par) in threads {
-        configs.push((
-            format!("compiled/rebuild/layered/{tname}"),
-            compiled(
-                MaintenancePolicy::RebuildEachTick,
-                RebuildBackend::LayeredTree,
-                par,
-            ),
-        ));
-    }
-    configs.push((
-        "compiled/incremental/layered/serial".to_string(),
-        compiled(
-            MaintenancePolicy::Incremental,
-            RebuildBackend::LayeredTree,
-            Parallelism::Off,
-        ),
-    ));
-    configs.push((
-        "compiled/adaptive/quadtree/4t".to_string(),
-        compiled(
-            MaintenancePolicy::adaptive(),
-            RebuildBackend::QuadTree,
-            Parallelism::Threads(4),
-        ),
-    ));
-    for (tname, par) in [
-        ("serial", Parallelism::Off),
-        ("4t", Parallelism::Threads(4)),
-    ] {
-        configs.push((
-            format!("compiled/costbased/w2/{tname}"),
-            ExecConfig::cost_based(schema)
-                .with_mode(ExecMode::Compiled)
-                .with_planner(PlannerMode::cost_based(2))
-                .with_parallelism(par),
-        ));
-    }
-    // The VM shares `TickIndexes` with the plan interpreter, so the
-    // materialized serve/miss/write-back path is the same code — the
-    // compiled rows prove the bytecode probe sites route through it.
-    for (tname, par) in threads {
-        configs.push((
-            format!("compiled/materialized/{tname}"),
-            ExecConfig::cost_based(schema)
-                .with_mode(ExecMode::Compiled)
                 .with_planner(PlannerMode::ForceMaterialized)
                 .with_parallelism(par),
         ));

@@ -6,7 +6,10 @@
 //! results (`centroid.x`, `nearest.key`) are only accessed through fields
 //! that exist, arithmetic stays scalar, `mod` divisors are positive and
 //! literals are non-negative (so the pretty-printed source re-parses to the
-//! identical AST — `-3` would come back as `Neg(3)`).
+//! identical AST — `-3` would come back as `Neg(3)`).  Some scripts bind an
+//! equal-valued integer/float literal pair (`u.health + 3` next to
+//! `u.health / 3.0`): the two must keep their own types wherever literals
+//! are pooled or deduplicated.
 //!
 //! [`generate_script`] returns the AST; [`script_source`] pretty-prints it.
 //! The generator *asserts* the parser round trip (`parse(pretty(ast)) ==
@@ -161,6 +164,30 @@ pub fn generate_script(seed: u64, config: ScriptGenConfig) -> Script {
         };
         ctx.vars.push((name.clone(), kind));
         lets.push((name, term));
+    }
+
+    // An equal-valued Int/Float literal pair, drawn from a stream of its own
+    // so the rest of the script stays what the seed always produced.
+    let mut pair_rng = TestRng::new(seed ^ 0x1F10_A7F1);
+    if pair_rng.chance(1, 4) {
+        let k = pair_rng.in_range(2, 9) as i64;
+        let mut pair = [
+            (
+                "ki".to_string(),
+                Term::bin(BinOp::Add, Term::unit("health"), Term::int(k)),
+            ),
+            (
+                "kf".to_string(),
+                Term::bin(BinOp::Div, Term::unit("health"), Term::float(k as f64)),
+            ),
+        ];
+        if pair_rng.chance(1, 2) {
+            pair.reverse();
+        }
+        for (name, term) in pair {
+            ctx.vars.push((name.clone(), VarKind::Scalar));
+            lets.push((name, term));
+        }
     }
 
     let body = gen_body(&mut rng, &ctx, config.max_depth);
@@ -433,6 +460,7 @@ mod tests {
         let mut saw_vec_let = false;
         let mut saw_nearest = false;
         let mut saw_seq = false;
+        let mut saw_literal_pair = false;
         for seed in 0..80 {
             let script = generate_script(seed, ScriptGenConfig::default());
             let src = script_source(&script);
@@ -440,7 +468,8 @@ mod tests {
             saw_vec_let |= src.contains("(let v");
             saw_nearest |= src.contains("getNearestEnemy");
             saw_seq |= script.main.body.count_performs() >= 2;
+            saw_literal_pair |= src.contains("(let kf = (u.health / ") && src.contains(".0))");
         }
-        assert!(saw_helper && saw_vec_let && saw_nearest && saw_seq);
+        assert!(saw_helper && saw_vec_let && saw_nearest && saw_seq && saw_literal_pair);
     }
 }

@@ -30,7 +30,7 @@ fn main() {
         units / 2
     );
 
-    for mode in [ExecMode::Indexed, ExecMode::Naive] {
+    for mode in [ExecMode::Compiled, ExecMode::Naive] {
         // Keep the naive run short for large armies — that is the point.
         let ticks = if mode == ExecMode::Naive && units > 1000 {
             3
@@ -59,8 +59,9 @@ fn main() {
         } else {
             Parallelism::Threads(threads)
         };
-        let mut sim = scenario.build_simulation(ExecMode::Indexed);
-        sim.set_exec_config(ExecConfig::indexed(&scenario.schema).with_parallelism(parallelism));
+        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        sim.set_exec_config(ExecConfig::indexed(&scenario.schema).with_parallelism(parallelism))
+            .expect("the battle scripts compile under every configuration");
         let ticks = 10;
         let start = Instant::now();
         sim.run(ticks).expect("battle runs");

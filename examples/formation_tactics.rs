@@ -24,7 +24,7 @@ fn main() {
         formation: Formation::Line,
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Indexed);
+    let mut sim = scenario.build_simulation(ExecMode::Compiled);
 
     let schema = scenario.schema.clone();
     let player = schema.attr_id("player").unwrap();

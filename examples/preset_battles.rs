@@ -13,7 +13,7 @@ use sgl::exec::ExecMode;
 fn main() {
     const TICKS: usize = 25;
     for preset in PresetScenario::all() {
-        let mut indexed = preset.build_simulation(ExecMode::Indexed);
+        let mut indexed = preset.build_simulation(ExecMode::Compiled);
         let mut oracle = preset.build_simulation(ExecMode::Oracle);
         let start = preset.table.len();
         let mut diverged = false;

@@ -43,7 +43,7 @@ fn main() {
     // 1. Record one trace per execution mode.
     let ticks = 15;
     let mut traces = Vec::new();
-    for mode in [ExecMode::Naive, ExecMode::Indexed] {
+    for mode in [ExecMode::Naive, ExecMode::Compiled] {
         let mut sim = scenario.build_simulation(mode);
         let mut recorder = TraceRecorder::new();
         for _ in 0..ticks {
@@ -89,7 +89,7 @@ fn main() {
     //    tick counter, the RNG stream state, the runtime statistics and the
     //    planner state — everything the remaining trajectory depends on.
     let split = 6;
-    let mut writer = scenario.build_simulation(ExecMode::Indexed);
+    let mut writer = scenario.build_simulation(ExecMode::Compiled);
     for _ in 0..split {
         writer.step().expect("tick succeeds");
     }

@@ -31,7 +31,7 @@ fn fig10(quick: bool) {
         let ticks = (4000 / units).clamp(2, 20);
         let naive_ticks = if units > 4000 { 2 } else { ticks };
         let naive = run_battle(units, 0.01, ExecMode::Naive, naive_ticks, 42);
-        let indexed = run_battle(units, 0.01, ExecMode::Indexed, ticks, 42);
+        let indexed = run_battle(units, 0.01, ExecMode::Compiled, ticks, 42);
         println!(
             "{:>8} {:>16.2} {:>16.2} {:>8.1}x",
             units,
@@ -50,7 +50,7 @@ fn density() {
     );
     for density in [0.005, 0.01, 0.02, 0.04, 0.08] {
         let naive = run_battle(500, density, ExecMode::Naive, 5, 42);
-        let indexed = run_battle(500, density, ExecMode::Indexed, 5, 42);
+        let indexed = run_battle(500, density, ExecMode::Compiled, 5, 42);
         println!(
             "{:>8.1}% {:>16.2} {:>16.2}",
             density * 100.0,
@@ -62,7 +62,7 @@ fn density() {
 
 fn capacity() {
     println!("== Capacity at 10 ticks/second (section 6.1) ==");
-    for mode in [ExecMode::Naive, ExecMode::Indexed] {
+    for mode in [ExecMode::Naive, ExecMode::Compiled] {
         let mut supported = 0usize;
         for &units in &[250usize, 500, 1000, 2000, 4000, 8000, 12000, 16000] {
             let ticks = if mode == ExecMode::Naive && units > 2000 {

@@ -10,7 +10,7 @@
 //! use sgl::exec::ExecMode;
 //!
 //! let scenario = BattleScenario::generate(ScenarioConfig { units: 40, ..Default::default() });
-//! let mut sim = scenario.build_simulation(ExecMode::Indexed);
+//! let mut sim = scenario.build_simulation(ExecMode::Compiled);
 //! sim.run(2).unwrap();
 //! assert_eq!(sim.current_tick(), 2);
 //! ```

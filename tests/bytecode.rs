@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use sgl::battle::PresetScenario;
-use sgl::exec::{ExecConfig, ExecMode};
+use sgl::exec::ExecConfig;
 use sgl_testkit::ConformanceCase;
 
 fn blessing() -> bool {
@@ -30,11 +30,9 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compile every script of a preset and render the full disassembly, one
-/// section per script.  The writer configuration pins [`ExecMode::Compiled`]
-/// so the snapshot never depends on `SGL_EXEC_MODE`.
+/// section per script.
 fn disassemble_preset(p: &PresetScenario) -> String {
-    let config = ExecConfig::indexed(&p.schema).with_mode(ExecMode::Compiled);
-    let sim = p.build_with_config(config);
+    let sim = p.build_with_config(ExecConfig::indexed(&p.schema));
     let mut out = String::new();
     assert!(
         !sim.scripts().is_empty(),
@@ -92,7 +90,7 @@ fn preset_battles_disassemble_to_golden_snapshots() {
 #[test]
 fn disassembler_renders_instructions_and_call_sites() {
     let p = PresetScenario::all().into_iter().next().expect("presets");
-    let sim = p.build_with_config(ExecConfig::indexed(&p.schema).with_mode(ExecMode::Compiled));
+    let sim = p.build_with_config(ExecConfig::indexed(&p.schema));
     let script = &sim.scripts()[0];
     let compiled = script.compiled.as_ref().expect("preset script compiles");
     let text = format!("{compiled}");
@@ -119,24 +117,45 @@ fn disassembler_renders_instructions_and_call_sites() {
     assert!(compiled.reg_count() > 0);
 }
 
+/// An equal-valued Int/Float literal pair: `3` and `3.0` must stay two
+/// constants of their own types in the bytecode's literal pool.  Were they
+/// pooled as one, `u.health / 3.0` would run as integer division and a
+/// full-health healer (16 health: 5 instead of 5.33) would take the other
+/// branch.
+const INT_FLOAT_LITERAL_PAIR: &str = r#"
+main(u) {
+  (let a = u.health + 3)
+  (let b = u.health / 3.0) {
+    if a > 0 and b > 5.2 then
+      perform MoveInDirection(u, u.posx + 5, u.posy);
+    else
+      perform MoveInDirection(u, u.posx - 5, u.posy);
+  }
+}
+"#;
+
 /// Generated conformance sweep on 64 seeds disjoint from the lattice
 /// sweep's default range (`tests/conformance.rs` runs seeds `0..32`, CI
-/// `0..64`): the bytecode VM must reproduce the oracle interpreter's digest
-/// sequence bit for bit, serial and sharded, on cases the lattice never saw.
+/// `0..64`), plus one hand-written script: the bytecode VM must reproduce
+/// the oracle interpreter's digest sequence bit for bit, serial and sharded,
+/// on cases the lattice never saw.
 #[test]
 fn compiled_matches_oracle_on_64_seeds_beyond_the_lattice() {
     use sgl::exec::Parallelism;
-    for seed in 2000..2064u64 {
-        let case = ConformanceCase::generate(seed);
+    let mut literal_pair = ConformanceCase::generate(2000);
+    literal_pair.script_source = INT_FLOAT_LITERAL_PAIR.to_string();
+    let cases = (2000..2064u64)
+        .map(ConformanceCase::generate)
+        .chain([literal_pair]);
+    for case in cases {
+        let seed = case.seed;
         let schema = case.world.schema.clone();
         let oracle = case.digests(ExecConfig::oracle(&schema));
         for (label, par) in [
             ("serial", Parallelism::Off),
             ("4t", Parallelism::Threads(4)),
         ] {
-            let config = ExecConfig::indexed(&schema)
-                .with_mode(ExecMode::Compiled)
-                .with_parallelism(par);
+            let config = ExecConfig::indexed(&schema).with_parallelism(par);
             let candidate = case.digests(config);
             assert_eq!(
                 candidate,

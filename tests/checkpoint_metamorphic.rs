@@ -9,11 +9,11 @@
 //! suite's argument extended across a process boundary: the checkpoint must
 //! capture *all* state the trajectory depends on (table, tick counter, RNG
 //! stream, runtime statistics, installed physical choices), and whatever it
-//! does not capture (maintained index structures, memo caches) must be a
+//! does not capture (maintained index structures, materialized answers) must be a
 //! deterministic function of what it does.
 //!
 //! The sweep covers ≥ 8 generated `(script, world)` seeds × the full
-//! 37-entry configuration lattice (including the force-materialized rows,
+//! 27-entry configuration lattice (including the force-materialized rows,
 //! whose answer stores are deliberately *not* serialized and must be
 //! rebuilt on resume), with the split point chosen seeded and *odd* — the
 //! cost-based lattice rows re-cost on a 2-tick window, so an odd split

@@ -8,23 +8,18 @@
 //! reference.  These tests require the two to agree — equal `Value` bits or
 //! the same error variant — on every built-in definition of the battle
 //! registry, on the terms of generated scripts, and on the edge cases the
-//! lowering could plausibly get wrong; one engine-level test then pins that
-//! the compiled boundary leaves the cost-based planner's inputs (and so its
-//! decisions and the state digests) exactly where the tree-walking executor
-//! puts them.
+//! lowering could plausibly get wrong.
 
 use std::sync::Arc;
 
-use sgl::battle::{battle_mechanics, battle_registry, battle_schema, PresetScenario};
-use sgl::engine::UnitSelector;
+use sgl::battle::{battle_registry, battle_schema};
 use sgl::env::{EnvTable, GameRng, RowRef, Schema, TickRandom, TupleBuilder, Value};
 use sgl::exec::builtin_eval::bind_params;
-use sgl::exec::{analyze_filter, ClosedProgram, ExecConfig, ExecError, ExecMode, SpatialAttrs};
+use sgl::exec::{analyze_filter, ClosedProgram, ExecError, SpatialAttrs};
 use sgl::lang::ast::{Action, BinOp, CmpOp, Cond, Term};
 use sgl::lang::builtins::{AggSpec, Registry};
 use sgl::lang::eval::{eval_cond, eval_term, EvalContext, NoAggregates, ScriptValue};
 use sgl::lang::LangError;
-use sgl::GameBuilder;
 use sgl_testkit::{generate_script, ScriptGenConfig, TestRng};
 
 /// A small hand-built world: both players, every numeric type, two units on
@@ -582,7 +577,8 @@ fn int_float_mixing_and_non_finite_bounds_keep_their_bits() {
     }
     assert_eq!(args_seen, 12);
     // Record constructs have no business in a (scalar) definition and do
-    // not lower; a script calling such a definition runs interpreted.
+    // not lower; a script calling such a definition is refused at
+    // registration.
     let pair = Term::Tuple(vec![Term::name("range"), Term::unit("posx")]);
     assert!(ClosedProgram::term(&pair, &ps, &registry, &schema).is_err());
     let field = Term::Field(Box::new(pair), "_1".into());
@@ -636,105 +632,7 @@ fn a_missing_constant_fails_only_the_branch_that_reads_it() {
         }
     }
     // A name that is neither parameter nor constant cannot resolve at run
-    // time either: it fails the compile (the script then runs interpreted).
+    // time either: it fails the compile (the script is refused at
+    // registration).
     assert!(ClosedProgram::term(&Term::name("nowhere"), &ps, &registry, &schema).is_err());
-}
-
-/// A roster where every aggregate result feeds the condition every branch
-/// hangs off, so the lazy plan walker has nothing to skip and the two
-/// executors issue the same probes for the same units: all three probe
-/// strategies (divisible, MIN/MAX, nearest), targeted and area-of-effect
-/// performs.
-const EAGER_SCRIPT: &str = r#"
-main(u) {
-  (let near = CountEnemiesInRange(u, u.range))
-  (let seen = CountEnemiesInRange(u, u.sight))
-  (let ec = CentroidOfEnemies(u, u.sight))
-  (let spread = AllySpreadInRange(u, u.sight))
-  (let weakest = WeakestEnemyHealth(u, u.range))
-  (let target = getNearestEnemy(u))
-  (let mood = near + seen + ec.x + spread.y + weakest + target.key) {
-    if mood > 1000000000 and near > 0 and u.cooldown = 0 then
-      perform FireAt(u, target.key);
-    else if mood > 1000000000 then
-      perform Heal(u);
-    else if near > 0 and u.cooldown = 0 then
-      perform Strike(u, target.key);
-    else
-      perform MoveInDirection(u, ec.x, ec.y);
-  }
-}
-"#;
-
-/// The compiled boundary folds each call site's planner observations once
-/// per run instead of recording them per probe.  The cost-based planner's
-/// decisions — and through them which structures exist — depend on those
-/// totals, so on a roster where both executors issue the same probes the
-/// tree-walking `Indexed` executor (whose adapter still records per probe)
-/// and the compiled VM must feed it the same numbers: identical statistics
-/// store after every tick, identical physical choices, identical state.
-/// (On the preset rosters the plan walker legitimately probes less — it
-/// evaluates a `let` only for the units whose branch reads it — so there
-/// only the digests agree, which the golden lattice pins.)
-#[test]
-fn compiled_and_tree_walking_boundaries_feed_the_planner_identically() {
-    let preset = PresetScenario::all()
-        .into_iter()
-        .find(|p| p.name == "mixed-formations")
-        .expect("mixed-formations preset");
-    let build = |mode: ExecMode| {
-        let config = ExecConfig::cost_based(&preset.schema).with_mode(mode);
-        let mechanics = battle_mechanics(&preset.schema, preset.world_side, preset.resurrect);
-        GameBuilder::new(Arc::clone(&preset.schema), battle_registry(), mechanics)
-            .exec_config(config)
-            .seed(preset.seed)
-            .script("eager", EAGER_SCRIPT, UnitSelector::All)
-            .build(preset.table.clone())
-            .expect("eager script compiles")
-    };
-    let mut walked = build(ExecMode::Indexed);
-    let mut compiled = build(ExecMode::Compiled);
-    assert!(compiled.scripts().iter().all(|s| s.compiled.is_some()));
-    let mut switches = 0;
-    for tick in 0..64 {
-        let w_report = walked.step().expect("tree-walking tick");
-        let c_report = compiled.step().expect("compiled tick");
-        // The plan walker requests each hoisted aggregate once per branch
-        // and answers the repeats from its memo; what it *evaluates* is what
-        // the VM evaluates.
-        assert_eq!(
-            w_report.exec.aggregate_probes - w_report.exec.shared_hits,
-            c_report.exec.aggregate_probes,
-            "tick {tick}: the roster is meant to make both executors probe alike"
-        );
-        switches += c_report.exec.plan_switches;
-        let (w, c) = (walked.runtime_stats(), compiled.runtime_stats());
-        assert_eq!(w.calls.len(), c.calls.len(), "tick {tick}: observed sites");
-        for (name, stats) in &w.calls {
-            assert_eq!(
-                Some(stats),
-                c.calls.get(name),
-                "tick {tick}: observations of `{name}` diverged"
-            );
-        }
-        assert_eq!(
-            (w.ticks, w.cardinality.to_bits(), w.update_rate.to_bits()),
-            (c.ticks, c.cardinality.to_bits(), c.update_rate.to_bits()),
-            "tick {tick}"
-        );
-        assert_eq!(
-            walked.physical_choices(),
-            compiled.physical_choices(),
-            "tick {tick}: physical choices"
-        );
-        assert_eq!(walked.digest(), compiled.digest(), "tick {tick}: state");
-    }
-    let probed = compiled
-        .runtime_stats()
-        .calls
-        .values()
-        .filter(|s| s.have_probes)
-        .count();
-    assert_eq!(probed, 5, "every aggregate of the roster was probed");
-    assert!(switches > 0, "the planner never installed a choice");
 }

@@ -12,9 +12,19 @@
 //! * **snapshot byte-stability** — `snapshot → restore → snapshot` is a
 //!   fixed point, including after Mixed-page promotions and compaction,
 //!   because the columnar encoding is a pure function of logical content.
+//!
+//! Plus a footprint bound: the table's resident bytes per row and peak
+//! resident pages on two seeded battles stay within 25 % of the recorded
+//! figures (deterministic, so no machine noise enters).
 
+use std::sync::Arc;
+
+use sgl::battle::{battle_mechanics, battle_registry, BattleScenario, ScenarioConfig};
+use sgl::engine::{Simulation, UnitSelector};
 use sgl::env::snapshot::{restore, snapshot};
-use sgl::env::{EnvTable, Value};
+use sgl::env::{EnvTable, TableMemoryStats, Value};
+use sgl::exec::{ExecConfig, PlannerMode};
+use sgl::GameBuilder;
 use sgl_testkit::{generate_world, TestRng, WorldLayout, WorldSpec};
 
 fn sweep_worlds() -> impl Iterator<Item = (u64, WorldLayout)> {
@@ -188,4 +198,68 @@ fn snapshot_restore_snapshot_is_a_fixed_point() {
             );
         }
     }
+}
+
+/// Run `sim` for one warm-up tick plus 25 measured ticks and return the
+/// table's memory statistics after the last one.
+fn footprint_after_run(mut sim: Simulation) -> TableMemoryStats {
+    sim.run(26).expect("ticks succeed");
+    sim.history().last().expect("ticks ran").memory
+}
+
+fn assert_footprint(label: &str, memory: TableMemoryStats, bytes_per_row: f64, pages: f64) {
+    assert!(
+        memory.bytes_per_row <= 1.25 * bytes_per_row,
+        "{label}: {} bytes per row exceeds 1.25 × {bytes_per_row}",
+        memory.bytes_per_row
+    );
+    assert!(
+        memory.peak_resident_pages as f64 <= 1.25 * pages,
+        "{label}: {} peak resident pages exceeds 1.25 × {pages}",
+        memory.peak_resident_pages
+    );
+}
+
+/// The footprint of the environment table on a moving battle and on a calm
+/// sentry garrison: resident bytes per row and the peak resident page count
+/// within 25 % of the figures recorded when the columnar store landed
+/// (184.32 B/row and 36 pages; 161.28 B/row and 126 pages).
+#[test]
+fn table_footprint_stays_within_the_recorded_bounds() {
+    let battle = |units: usize, density: f64| {
+        BattleScenario::generate(ScenarioConfig {
+            units,
+            density,
+            seed: 20260730,
+            ..ScenarioConfig::default()
+        })
+    };
+
+    let roster = battle(400, 0.01);
+    let memory = footprint_after_run(roster.build_with_config(ExecConfig::indexed(&roster.schema)));
+    assert_footprint("400-unit battle", memory, 184.32, 36.0);
+
+    // Stationary sentries in a sparse world, every legal call site served
+    // from materialized answers.
+    let calm = battle(1600, 0.0005);
+    let sim = GameBuilder::new(
+        Arc::clone(&calm.schema),
+        battle_registry(),
+        battle_mechanics(&calm.schema, calm.world_side, calm.config.resurrect),
+    )
+    .exec_config(ExecConfig::cost_based(&calm.schema).with_planner(PlannerMode::ForceMaterialized))
+    .seed(calm.config.seed)
+    .script(
+        "sentry",
+        include_str!("../sglbench/scripts/sentry.sgl"),
+        UnitSelector::All,
+    )
+    .build(calm.table.clone())
+    .expect("sentry script compiles");
+    assert_footprint(
+        "1600-unit calm garrison",
+        footprint_after_run(sim),
+        161.28,
+        126.0,
+    );
 }

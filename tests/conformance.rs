@@ -1,7 +1,8 @@
 //! Differential conformance: every executor configuration must reproduce,
 //! bit for bit, the per-tick `StateDigest` sequence of the oracle
 //! interpreter (`ExecMode::Oracle` — tree-walking AST evaluation, no
-//! planner, no indexes, no memoization, serial).
+//! planner, no indexes, no memoization, serial).  Every lattice row runs the
+//! register-bytecode VM.
 //!
 //! Each seed yields one generated `(script, world)` pair from `sgl-testkit`
 //! (random-but-well-typed script; adversarial world layout), which then runs
@@ -10,6 +11,8 @@
 //! ```text
 //! {naive, planned} × {RebuildEachTick, Incremental, Adaptive}
 //!                  × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
+//!   + costbased(window=2) × {serial, 2, 4 threads}
+//!   + materialized × {serial, 2, 4 threads}
 //! ```
 //!
 //! (maintenance policy and backend are index-layer knobs, so the naive
@@ -23,7 +26,7 @@
 
 use sgl::engine::StateDigest;
 use sgl::env::EnvTable;
-use sgl::exec::ExecConfig;
+use sgl::exec::{ExecConfig, ExecMode};
 use sgl_testkit::{config_lattice as lattice, ConformanceCase};
 
 /// Seeds to sweep: `SGL_CONFORMANCE_SEEDS` or the tier-1 default of 32.
@@ -212,10 +215,15 @@ fn the_lattice_covers_the_advertised_configurations() {
     let schema = sgl::battle::battle_schema();
     let configs = lattice(&schema);
     // 3 thread counts × (1 naive + 3 policies × 2 backends + 1 cost-based
-    // + 1 forced-materialized) = 27, plus 10 register-bytecode VM entries
-    // (3 rebuild/layered threads, incremental/serial, adaptive/4t,
-    // 2 cost-based, 3 forced-materialized) = 37.
-    assert_eq!(configs.len(), 37);
+    // + 1 forced-materialized) = 27, every row on the bytecode VM.
+    assert_eq!(configs.len(), 27);
+    for (label, config) in &configs {
+        assert!(
+            matches!(config.mode, ExecMode::Naive | ExecMode::Compiled),
+            "{label}: {:?}",
+            config.mode
+        );
+    }
     let labels: Vec<&str> = configs.iter().map(|(l, _)| l.as_str()).collect();
     for needle in [
         "naive/serial",
@@ -224,18 +232,11 @@ fn the_lattice_covers_the_advertised_configurations() {
         "planned/rebuild/quadtree/2t",
         "planned/incremental/layered/4t",
         "planned/adaptive/quadtree/serial",
-        "compiled/rebuild/layered/serial",
-        "compiled/rebuild/layered/4t",
-        "compiled/incremental/layered/serial",
-        "compiled/adaptive/quadtree/4t",
-        "compiled/costbased/w2/serial",
-        "compiled/costbased/w2/4t",
+        "planned/costbased/w2/serial",
+        "planned/costbased/w2/4t",
         "planned/materialized/serial",
         "planned/materialized/2t",
         "planned/materialized/4t",
-        "compiled/materialized/serial",
-        "compiled/materialized/2t",
-        "compiled/materialized/4t",
     ] {
         assert!(labels.contains(&needle), "missing {needle}: {labels:?}");
     }

@@ -5,7 +5,7 @@
 //! *executed* choices are both surfaced in `explain`, and that the whole
 //! adaptive machinery is observationally neutral — bit-identical
 //! `StateDigest`s against the heuristic planner and the oracle interpreter.
-//! (The full 31-entry configuration lattice, including the cost-based rows,
+//! (The full 27-entry configuration lattice, including the cost-based rows,
 //! is swept by `tests/conformance.rs` and `tests/golden_digests.rs`.)
 
 use sgl::battle::{BattleScenario, ScenarioConfig};

@@ -2,10 +2,12 @@
 //! shape and every execution mode the game unfolds identically, and the
 //! save-game snapshot preserves state exactly.
 
-use sgl::battle::{BattleScenario, Formation, ScenarioConfig, SkeletonConfig, SkeletonScenario};
+use sgl::battle::{
+    BattleScenario, Formation, PresetScenario, ScenarioConfig, SkeletonConfig, SkeletonScenario,
+};
 use sgl::engine::{compare_traces, StateDigest, TraceComparison, TraceRecorder};
 use sgl::env::snapshot::{restore, snapshot};
-use sgl::exec::ExecMode;
+use sgl::exec::{ExecConfig, ExecMode};
 
 fn record(scenario: &BattleScenario, mode: ExecMode, ticks: usize) -> TraceRecorder {
     let mut sim = scenario.build_simulation(mode);
@@ -29,13 +31,33 @@ fn naive_and_indexed_traces_are_identical_for_every_formation() {
         };
         let scenario = BattleScenario::generate(config);
         let naive = record(&scenario, ExecMode::Naive, 5);
-        let indexed = record(&scenario, ExecMode::Indexed, 5);
+        let indexed = record(&scenario, ExecMode::Compiled, 5);
         assert_eq!(
             compare_traces(&naive, &indexed),
             TraceComparison::Identical,
             "naive and indexed runs diverged with the {} formation",
             formation.name()
         );
+    }
+}
+
+/// The naive baseline runs the same bytecode as the planned rows, but
+/// without an index view: nothing is built, probed, maintained or served
+/// from a materialized answer, and every aggregate evaluation is a scan.
+#[test]
+fn naive_mode_builds_and_probes_no_index() {
+    for preset in PresetScenario::all() {
+        let mut sim = preset.build_with_config(ExecConfig::naive(&preset.schema));
+        for tick in 0..6 {
+            let exec = sim.step().expect("tick succeeds").exec;
+            let at = format!("{} tick {tick}: {exec:?}", preset.name);
+            assert_eq!(exec.indexes_built, 0, "{at}");
+            assert_eq!(exec.index_probes, 0, "{at}");
+            assert_eq!(exec.maintained_probes, 0, "{at}");
+            assert_eq!(exec.materialized_serves, 0, "{at}");
+            assert_eq!(exec.naive_scans, exec.aggregate_probes, "{at}");
+            assert!(exec.aggregate_probes > 0, "{at}");
+        }
     }
 }
 
@@ -50,7 +72,7 @@ fn the_skeleton_horde_scenario_is_mode_independent() {
     };
     let scenario = SkeletonScenario::generate(config);
     let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Indexed);
+    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
     for _ in 0..6 {
         naive.step().unwrap();
         indexed.step().unwrap();
@@ -67,12 +89,12 @@ fn reruns_with_the_same_seed_reproduce_the_same_trace() {
         formation: Formation::Wedge,
         ..ScenarioConfig::default()
     };
-    let a = record(&BattleScenario::generate(config), ExecMode::Indexed, 6);
-    let b = record(&BattleScenario::generate(config), ExecMode::Indexed, 6);
+    let a = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
+    let b = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
     assert_eq!(compare_traces(&a, &b), TraceComparison::Identical);
     // And a different seed must *not* reproduce it.
     let other = ScenarioConfig { seed: 9, ..config };
-    let c = record(&BattleScenario::generate(other), ExecMode::Indexed, 6);
+    let c = record(&BattleScenario::generate(other), ExecMode::Compiled, 6);
     assert_ne!(compare_traces(&a, &c), TraceComparison::Identical);
 }
 
@@ -86,7 +108,7 @@ fn snapshots_preserve_mid_battle_state_exactly() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Indexed);
+    let mut sim = scenario.build_simulation(ExecMode::Compiled);
     sim.run(4).unwrap();
 
     let bytes = snapshot(sim.table()).unwrap();
@@ -107,7 +129,7 @@ fn timing_metrics_are_collected_for_every_tick() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Indexed);
+    let mut sim = scenario.build_simulation(ExecMode::Compiled);
     let summary = sim.run(4).unwrap();
     assert!(summary.timings.total() > std::time::Duration::ZERO);
     let throughput = sim.throughput();

@@ -18,7 +18,7 @@ fn scenario(units: usize, seed: u64) -> BattleScenario {
 fn naive_and_indexed_battles_agree_on_integer_state() {
     let scenario = scenario(60, 77);
     let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Indexed);
+    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
     let schema = scenario.schema.clone();
     let health = schema.attr_id("health").unwrap();
     let cooldown = schema.attr_id("cooldown").unwrap();
@@ -61,7 +61,7 @@ fn naive_and_indexed_battles_agree_on_integer_state() {
 fn indexed_battle_does_substantially_less_aggregate_work() {
     let scenario = scenario(120, 5);
     let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Indexed);
+    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
     let ns = naive.run(2).unwrap();
     let is = indexed.run(2).unwrap();
     // Same number of per-unit aggregate probes are *requested*...
@@ -79,8 +79,8 @@ fn indexed_battle_does_substantially_less_aggregate_work() {
 fn battles_are_deterministic_for_a_fixed_seed() {
     let a = scenario(50, 123);
     let b = scenario(50, 123);
-    let mut sim_a = a.build_simulation(ExecMode::Indexed);
-    let mut sim_b = b.build_simulation(ExecMode::Indexed);
+    let mut sim_a = a.build_simulation(ExecMode::Compiled);
+    let mut sim_b = b.build_simulation(ExecMode::Compiled);
     for _ in 0..5 {
         sim_a.step().unwrap();
         sim_b.step().unwrap();
@@ -103,8 +103,8 @@ fn battles_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn different_seeds_produce_different_battles() {
-    let mut sim_a = scenario(50, 1).build_simulation(ExecMode::Indexed);
-    let mut sim_b = scenario(50, 2).build_simulation(ExecMode::Indexed);
+    let mut sim_a = scenario(50, 1).build_simulation(ExecMode::Compiled);
+    let mut sim_b = scenario(50, 2).build_simulation(ExecMode::Compiled);
     sim_a.run(3).unwrap();
     sim_b.run(3).unwrap();
     let posx = sim_a.table().schema().attr_id("posx").unwrap();
@@ -136,8 +136,8 @@ mod backend_equivalence {
     const TICKS: usize = 50;
 
     fn digests_for(scenario: &BattleScenario, config: ExecConfig, label: &str) -> Vec<StateDigest> {
-        let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Indexed);
-        sim.set_exec_config(config);
+        let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Compiled);
+        sim.set_exec_config(config).unwrap();
         (0..TICKS)
             .map(|tick| {
                 sim.step()
@@ -292,8 +292,8 @@ mod backend_equivalence {
         });
         let schema = scenario.schema.clone();
         let make = |config: ExecConfig| -> Simulation {
-            let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Indexed);
-            sim.set_exec_config(config);
+            let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Compiled);
+            sim.set_exec_config(config).unwrap();
             sim
         };
         let mut sims = [

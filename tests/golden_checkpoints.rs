@@ -8,7 +8,7 @@
 //!   encodings and every EWMA in them are deterministic — including under
 //!   `SGL_PARALLELISM=4`, because the statistics pipeline merges shard
 //!   observations deterministically);
-//! * **resume portability** — every configuration of the 31-entry lattice
+//! * **resume portability** — every configuration of the 27-entry lattice
 //!   resumes the committed checkpoint and reproduces ticks 10..20 of the
 //!   *golden digest corpus* (`tests/golden/<preset>.digests`, owned by
 //!   `tests/golden_digests.rs`) bit for bit.  The two golden corpora
@@ -24,7 +24,7 @@ use std::path::PathBuf;
 
 use sgl::battle::PresetScenario;
 use sgl::engine::{Simulation, StateDigest};
-use sgl::exec::{ExecConfig, ExecMode};
+use sgl::exec::ExecConfig;
 use sgl_testkit::config_lattice;
 
 /// Checkpoints are taken after this many ticks...
@@ -45,13 +45,9 @@ fn preset(name: &str) -> PresetScenario {
 
 /// The reference writer configuration.  Deliberately the plain indexed
 /// preset: it inherits `SGL_PARALLELISM`, so the CI matrix also proves the
-/// checkpoint *bytes* are parallelism-independent.  The execution mode is
-/// pinned to the plan interpreter — `indexed()` consults `SGL_EXEC_MODE`,
-/// and golden bytes must not depend on an environment knob (the compiled
-/// VM's probe statistics legitimately differ, so its STATS section would
-/// drift).  Compiled-mode resume coverage comes from the lattice below.
+/// checkpoint *bytes* are parallelism-independent.
 fn writer_config(p: &PresetScenario) -> ExecConfig {
-    ExecConfig::indexed(&p.schema).with_mode(ExecMode::Indexed)
+    ExecConfig::indexed(&p.schema)
 }
 
 fn golden_path(name: &str) -> PathBuf {
