@@ -117,6 +117,35 @@ pub enum StrategyClass {
     Nearest,
 }
 
+impl StrategyClass {
+    /// The backends [`price_alternatives`] prices for this class, in pricing
+    /// order.  Nearest/argbest answers are records of arbitrary output terms
+    /// over the winning row; an attribute of that row can change without any
+    /// positional delta, which would silently stale a stored answer, so
+    /// materialization is not a legal alternative there.
+    pub fn alternatives(self) -> &'static [PhysicalBackend] {
+        use PhysicalBackend::*;
+        match self {
+            StrategyClass::Divisible => {
+                &[Scan, LayeredTree, QuadTree, MaintainedGrid, Materialized]
+            }
+            StrategyClass::MinMax => &[Scan, Sweep, QuadTree, MaintainedGrid, Materialized],
+            StrategyClass::Nearest => &[Scan, KdTree, MaintainedGrid],
+        }
+    }
+
+    /// The paper's structure for this class (§5.3): the layered aggregate
+    /// tree for divisible aggregates, the sweep line for MIN/MAX and the
+    /// kD-tree for nearest neighbours.
+    pub fn paper_backend(self) -> PhysicalBackend {
+        match self {
+            StrategyClass::Divisible => PhysicalBackend::LayeredTree,
+            StrategyClass::MinMax => PhysicalBackend::Sweep,
+            StrategyClass::Nearest => PhysicalBackend::KdTree,
+        }
+    }
+}
+
 /// Calibration constants of the cost model, in microseconds per elementary
 /// operation.  See [`CostConstants::default_calibration`] for provenance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -347,38 +376,34 @@ fn kd_alt(i: &CallSiteInputs, c: &CostConstants) -> CostedAlternative {
     }
 }
 
-/// Price every legal alternative of a call site, in deterministic order.
+/// Price every legal alternative of a call site, in the order of
+/// [`StrategyClass::alternatives`].
 pub fn price_alternatives(
     class: StrategyClass,
     inputs: &CallSiteInputs,
     constants: &CostConstants,
 ) -> Vec<CostedAlternative> {
-    match class {
-        StrategyClass::Divisible => vec![
-            scan_alt(inputs, constants),
-            layered_alt(inputs, constants),
-            quad_alt(inputs, constants),
-            grid_alt(inputs, constants, inputs.selectivity * inputs.n()),
-            materialized_alt(inputs, constants),
-        ],
-        StrategyClass::MinMax => vec![
-            scan_alt(inputs, constants),
-            sweep_alt(inputs, constants),
-            quad_alt(inputs, constants),
-            grid_alt(inputs, constants, inputs.selectivity * inputs.n()),
-            materialized_alt(inputs, constants),
-        ],
-        // Nearest/argbest answers are records of arbitrary output terms over
-        // the winning row; an attribute of that row can change without any
-        // positional delta, which would silently stale a stored answer, so
-        // materialization is not a legal alternative here.
-        StrategyClass::Nearest => vec![
-            scan_alt(inputs, constants),
-            kd_alt(inputs, constants),
-            // A grid nearest probe ring-walks ~√n cells in the worst case.
-            grid_alt(inputs, constants, inputs.n().sqrt()),
-        ],
-    }
+    class
+        .alternatives()
+        .iter()
+        .map(|backend| match backend {
+            PhysicalBackend::Scan => scan_alt(inputs, constants),
+            PhysicalBackend::LayeredTree => layered_alt(inputs, constants),
+            PhysicalBackend::QuadTree => quad_alt(inputs, constants),
+            PhysicalBackend::MaintainedGrid => {
+                let probe_rows = match class {
+                    // A grid nearest probe ring-walks ~√n cells in the worst
+                    // case.
+                    StrategyClass::Nearest => inputs.n().sqrt(),
+                    _ => inputs.selectivity * inputs.n(),
+                };
+                grid_alt(inputs, constants, probe_rows)
+            }
+            PhysicalBackend::Sweep => sweep_alt(inputs, constants),
+            PhysicalBackend::KdTree => kd_alt(inputs, constants),
+            PhysicalBackend::Materialized => materialized_alt(inputs, constants),
+        })
+        .collect()
 }
 
 /// The cheapest alternative (ties break toward the earlier entry, i.e. the

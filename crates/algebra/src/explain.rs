@@ -22,8 +22,8 @@ pub struct CostAnnotation {
     /// Maintenance label of the chosen backend (`per-tick`, `incremental`,
     /// `rebuild`).
     pub maintenance: String,
-    /// Modeled per-tick cost of the chosen backend in µs; `None` under the
-    /// heuristic planner (no pricing happened).
+    /// Modeled per-tick cost of the chosen backend in µs; `None` for a
+    /// forced plan (no pricing happened).
     pub est_us: Option<f64>,
     /// Every priced alternative as `(label, per-tick µs)`, cheapest first.
     pub alternatives: Vec<(String, f64)>,

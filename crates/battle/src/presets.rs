@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use sgl_core::engine::{Simulation, UnitSelector};
 use sgl_core::env::{EnvTable, Schema, TupleBuilder, Value};
-use sgl_core::exec::{ExecConfig, ExecMode};
+use sgl_core::exec::ExecConfig;
 use sgl_core::GameBuilder;
 
 use crate::{
@@ -80,11 +80,6 @@ impl PresetScenario {
             fleeing_swarm(),
             attrition_stalemate(),
         ]
-    }
-
-    /// Build a ready-to-run simulation in the given execution mode.
-    pub fn build_simulation(&self, mode: ExecMode) -> Simulation {
-        self.build_with_config(ExecConfig::for_mode(mode, &self.schema))
     }
 
     /// Build a simulation under an explicit executor configuration (the
@@ -388,13 +383,18 @@ mod tests {
     fn every_preset_builds_and_runs_in_every_mode() {
         for preset in PresetScenario::all() {
             assert!(preset.table.len() > 20, "{} is too small", preset.name);
-            for mode in [ExecMode::Naive, ExecMode::Compiled, ExecMode::Oracle] {
-                let mut sim = preset.build_simulation(mode);
+            let configs = [
+                ("naive", ExecConfig::naive(&preset.schema)),
+                ("indexed", ExecConfig::indexed(&preset.schema)),
+                ("oracle", ExecConfig::oracle(&preset.schema)),
+            ];
+            for (mode, config) in configs {
+                let mut sim = preset.build_with_config(config);
                 let summary = sim.run(2).unwrap();
-                assert_eq!(summary.ticks, 2, "{} under {mode:?}", preset.name);
+                assert_eq!(summary.ticks, 2, "{} under {mode}", preset.name);
                 assert!(
                     summary.exec.aggregate_probes > 0,
-                    "{} under {mode:?} evaluated no aggregates",
+                    "{} under {mode} evaluated no aggregates",
                     preset.name
                 );
             }
@@ -427,7 +427,7 @@ mod tests {
                 .map(|(_, row)| row.get_f64(posx).unwrap())
                 .collect()
         };
-        let mut sim = preset.build_simulation(ExecMode::Compiled);
+        let mut sim = preset.build_with_config(ExecConfig::indexed(&preset.schema));
         let before = wall_xs(&sim);
         assert!(!before.is_empty());
         sim.run(6).unwrap();
@@ -451,7 +451,7 @@ mod tests {
                 .collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };
-        let mut sim = preset.build_simulation(ExecMode::Compiled);
+        let mut sim = preset.build_with_config(ExecConfig::indexed(&preset.schema));
         let before = swarm_mean_x(&sim);
         sim.run(10).unwrap();
         let after = swarm_mean_x(&sim);
@@ -465,7 +465,7 @@ mod tests {
     fn attrition_stalemate_stays_populated() {
         let preset = attrition_stalemate();
         let start = preset.table.len();
-        let mut sim = preset.build_simulation(ExecMode::Compiled);
+        let mut sim = preset.build_with_config(ExecConfig::indexed(&preset.schema));
         let summary = sim.run(12).unwrap();
         // Attrition, not a rout: most units survive 12 ticks even with
         // resurrection off.

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use sgl_core::engine::{RunSummary, Simulation, UnitSelector};
 use sgl_core::env::{EnvTable, Schema, TupleBuilder, Value};
-use sgl_core::exec::{ExecConfig, ExecMode};
+use sgl_core::exec::ExecConfig;
 use sgl_core::GameBuilder;
 
 use crate::formations::{place, Formation};
@@ -151,15 +151,9 @@ impl BattleScenario {
         }
     }
 
-    /// Build a ready-to-run simulation for this scenario in the given
-    /// execution mode, registering the knight/archer/healer scripts.
-    pub fn build_simulation(&self, mode: ExecMode) -> Simulation {
-        self.build_with_config(ExecConfig::for_mode(mode, &self.schema))
-    }
-
     /// Build a simulation under an explicit executor configuration (the
-    /// conformance and golden-digest suites sweep the full policy × backend
-    /// × parallelism lattice).
+    /// conformance and golden-digest suites sweep the full planner ×
+    /// parallelism lattice).
     pub fn build_with_config(&self, exec: ExecConfig) -> Simulation {
         let registry = battle_registry();
         let mechanics = battle_mechanics(&self.schema, self.world_side, self.config.resurrect);
@@ -194,8 +188,8 @@ pub struct BattleMeasurement {
     pub units: usize,
     /// Occupied-cell density.
     pub density: f64,
-    /// Execution mode measured.
-    pub mode: ExecMode,
+    /// Executor configuration measured.
+    pub config: ExecConfig,
     /// Ticks simulated.
     pub ticks: usize,
     /// Wall-clock time of the run.
@@ -225,7 +219,7 @@ impl BattleMeasurement {
 pub fn run_battle(
     units: usize,
     density: f64,
-    mode: ExecMode,
+    exec: ExecConfig,
     ticks: usize,
     seed: u64,
 ) -> BattleMeasurement {
@@ -236,14 +230,14 @@ pub fn run_battle(
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(mode);
+    let mut sim = scenario.build_with_config(exec);
     let start = Instant::now();
     let summary = sim.run(ticks).expect("battle ticks succeed");
     let elapsed = start.elapsed();
     BattleMeasurement {
         units,
         density,
-        mode,
+        config: exec,
         ticks,
         elapsed,
         summary,
@@ -299,8 +293,11 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        for mode in [ExecMode::Naive, ExecMode::Compiled] {
-            let mut sim = scenario.build_simulation(mode);
+        for config in [
+            ExecConfig::naive(&scenario.schema),
+            ExecConfig::indexed(&scenario.schema),
+        ] {
+            let mut sim = scenario.build_with_config(config);
             let summary = sim.run(10).unwrap();
             assert_eq!(summary.ticks, 10);
             assert_eq!(
@@ -320,7 +317,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         let summary = sim.run(3).unwrap();
         assert_eq!(
             summary.exec.naive_scans, 0,
@@ -343,7 +340,7 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         let mut enum_probes = 0;
         for _ in 0..30 {
             let exec = sim.step().unwrap().exec;
@@ -358,7 +355,7 @@ mod tests {
 
     #[test]
     fn measurements_expose_figure10_metrics() {
-        let m = run_battle(40, 0.02, ExecMode::Compiled, 3, 7);
+        let m = run_battle(40, 0.02, ExecConfig::indexed(&battle_schema()), 3, 7);
         assert_eq!(m.units, 40);
         assert!(m.seconds_per_tick() > 0.0);
         assert!(m.seconds_per_500_ticks() > m.seconds_per_tick());

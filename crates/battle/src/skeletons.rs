@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use sgl_core::engine::{Simulation, UnitSelector};
 use sgl_core::env::{EnvTable, Schema, TupleBuilder, Value};
-use sgl_core::exec::{ExecConfig, ExecMode};
+use sgl_core::exec::ExecConfig;
 use sgl_core::GameBuilder;
 
 use crate::{battle_mechanics, battle_registry, battle_schema, UnitKind, SKELETON_FEAR_SCRIPT};
@@ -171,14 +171,9 @@ impl SkeletonScenario {
         }
     }
 
-    /// Build a ready-to-run simulation in the given execution mode.
-    pub fn build_simulation(&self, mode: ExecMode) -> Simulation {
-        self.build_with_config(ExecConfig::for_mode(mode, &self.schema))
-    }
-
     /// Build a simulation under an explicit executor configuration (the
-    /// conformance and golden-digest suites sweep the full policy × backend
-    /// × parallelism lattice).
+    /// conformance and golden-digest suites sweep the full planner ×
+    /// parallelism lattice).
     pub fn build_with_config(&self, exec: ExecConfig) -> Simulation {
         let registry = battle_registry();
         let mechanics = battle_mechanics(&self.schema, self.world_side, self.config.resurrect);
@@ -246,7 +241,7 @@ mod tests {
             ..SkeletonConfig::default()
         };
         let scenario = SkeletonScenario::generate(config);
-        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         let summary = sim.run(5).unwrap();
         assert_eq!(summary.ticks, 5);
         assert_eq!(
@@ -279,7 +274,7 @@ mod tests {
             }
             sum / count as f64
         };
-        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         let before = mean_x(&sim);
         sim.run(12).unwrap();
         let after = mean_x(&sim);
@@ -299,8 +294,8 @@ mod tests {
             ..SkeletonConfig::default()
         };
         let scenario = SkeletonScenario::generate(config);
-        let mut naive = scenario.build_simulation(ExecMode::Naive);
-        let mut indexed = scenario.build_simulation(ExecMode::Compiled);
+        let mut naive = scenario.build_with_config(ExecConfig::naive(&scenario.schema));
+        let mut indexed = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         for _ in 0..4 {
             naive.step().unwrap();
             indexed.step().unwrap();

@@ -18,7 +18,7 @@
 //!    tick's effect relation) back to the cross-tick
 //!    [`sgl_exec::IndexManager`], so maintained index structures absorb the
 //!    tick's positional and value updates before the next tick probes them
-//!    (a no-op under the rebuild-each-tick policy).
+//!    (a no-op when every call site is rebuilt per tick).
 
 //!
 //! Supporting modules: [`metrics`] (per-phase timings, throughput/capacity
@@ -39,15 +39,15 @@ use sgl_algebra::cost::CostConstants;
 use sgl_algebra::{explain_with_costs, CostAnnotation, LogicalPlan};
 use sgl_env::{AttrId, EnvTable, GameRng, PostProcessor, Value};
 use sgl_exec::{
-    choose_physical, compile_script, execute_tick_oracle, execute_tick_planned, force_materialized,
-    plan_registry, strategy_class, CompileError, CompiledScript, ExecConfig, ExecMode,
-    IndexManager, MaintStats, MaintenancePolicy, OracleRun, Parallelism, PlannedAggregate,
-    PlannerMode, RuntimeStats, ScriptRun, TickObservations, TickStats,
+    choose_physical, compile_script, execute_tick_oracle, execute_tick_planned, plan_registry,
+    strategy_class, CompileError, CompiledScript, ExecConfig, ExecMode, IndexManager, MaintStats,
+    OracleRun, Parallelism, PlannedAggregate, PlannerMode, RuntimeStats, ScriptRun,
+    TickObservations, TickStats,
 };
 use sgl_lang::normalize::NormalScript;
 use sgl_lang::Registry;
 
-pub use metrics::{PhaseAllocs, PhaseTimings, RollingStats, ThroughputReport};
+pub use metrics::{PhaseAllocs, PhaseTimings, ThroughputReport};
 pub use movement::{run_movement, MovementConfig, MovementStats};
 pub use replay::{compare_traces, StateDigest, TraceComparison, TraceRecorder};
 
@@ -199,8 +199,8 @@ pub struct Simulation {
     mechanics: Mechanics,
     exec_config: ExecConfig,
     /// Cross-tick owner of the aggregate index structures; persists across
-    /// [`Simulation::step`] calls so maintained policies can patch instead
-    /// of rebuild.
+    /// [`Simulation::step`] calls so maintained structures can patch
+    /// instead of rebuild.
     index_manager: IndexManager,
     /// Aggregate plans and registry constants, cached across ticks (they
     /// depend only on the registry, schema and execution configuration).
@@ -325,7 +325,8 @@ impl Simulation {
         &mut self.table
     }
 
-    /// The cross-tick index manager (policy and maintenance statistics).
+    /// The cross-tick index manager (maintained structures and maintenance
+    /// statistics).
     pub fn index_manager(&self) -> &IndexManager {
         &self.index_manager
     }
@@ -351,7 +352,7 @@ impl Simulation {
     }
 
     /// Change the execution configuration (e.g. switch naive ↔ indexed, or
-    /// change the maintenance policy).  Resets the index manager.  Every
+    /// force another backend).  Resets the index manager.  Every
     /// script is recompiled under the new configuration first; if one is
     /// refused, the error is returned and the simulation keeps its old
     /// configuration untouched.
@@ -389,52 +390,18 @@ impl Simulation {
     }
 
     /// The current physical choice of every aggregate call site, sorted by
-    /// name: `(call name, backend label, maintenance label)`.  Under the
-    /// heuristic planner the labels are derived from the configuration.
+    /// name: `(call name, backend label, maintenance label)`.
     pub fn physical_choices(&self) -> Vec<(String, String, String)> {
         let mut out: Vec<(String, String, String)> = self
             .planned
             .iter()
             .map(|(name, plan)| {
-                let (chosen, maintenance) = self.choice_labels(plan);
-                (name.clone(), chosen, maintenance)
+                let (chosen, maintenance) = choice_labels(plan);
+                (name.clone(), chosen.to_string(), maintenance.to_string())
             })
             .collect();
         out.sort();
         out
-    }
-
-    /// Backend / maintenance labels of one plan (cost-based choice when
-    /// installed, otherwise the heuristic mapping).
-    fn choice_labels(&self, plan: &PlannedAggregate) -> (String, String) {
-        if let Some(choice) = &plan.choice {
-            return (
-                choice.backend.label().to_string(),
-                choice.maintenance.label().to_string(),
-            );
-        }
-        let policy_label = match self.exec_config.policy {
-            MaintenancePolicy::RebuildEachTick => "per-tick",
-            MaintenancePolicy::Incremental => "incremental",
-            MaintenancePolicy::Adaptive { .. } => "adaptive",
-        };
-        use sgl_exec::AggStrategy;
-        let backend = match (&plan.strategy, self.exec_config.mode) {
-            (AggStrategy::Scan, _) | (_, ExecMode::Naive | ExecMode::Oracle) => "scan",
-            (_, _) if self.exec_config.policy.is_dynamic() => "grid",
-            (AggStrategy::DivisibleTree { .. }, _) => match self.exec_config.backend {
-                sgl_exec::RebuildBackend::LayeredTree => "layered-tree",
-                sgl_exec::RebuildBackend::QuadTree => "quadtree",
-            },
-            (AggStrategy::SweepMinMax, _) => "sweep",
-            (AggStrategy::KdNearest, _) => "kd-tree",
-        };
-        let maintenance = if backend == "scan" {
-            "per-tick"
-        } else {
-            policy_label
-        };
-        (backend.to_string(), maintenance.to_string())
     }
 
     /// The [`CostAnnotation`] of every aggregate call site: the planned
@@ -450,9 +417,10 @@ impl Simulation {
                 sgl_exec::AggStrategy::KdNearest => "kd-nearest",
                 sgl_exec::AggStrategy::Scan => "scan",
             };
-            let (chosen, maintenance) = self.choice_labels(plan);
+            let (chosen, maintenance) = choice_labels(plan);
             let (est_us, mut alternatives) = match &plan.choice {
-                Some(choice) => (
+                // A forced choice is not priced.
+                Some(choice) if self.exec_config.planner.is_cost_based() => (
                     Some(choice.est_us),
                     choice
                         .alternatives
@@ -468,7 +436,7 @@ impl Simulation {
                         })
                         .collect(),
                 ),
-                None => (None, Vec::new()),
+                _ => (None, Vec::new()),
             };
             alternatives.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
             let executed = self
@@ -486,8 +454,8 @@ impl Simulation {
                 name.clone(),
                 CostAnnotation {
                     strategy: strategy.to_string(),
-                    chosen,
-                    maintenance,
+                    chosen: chosen.to_string(),
+                    maintenance: maintenance.to_string(),
                     est_us,
                     alternatives,
                     executed,
@@ -544,47 +512,32 @@ impl Simulation {
         // adaptivity-window boundary (and immediately after a configuration
         // change left the call sites unpriced).  Decisions only ever change
         // here, at a tick boundary, so each tick runs under one consistent
-        // physical plan.
+        // physical plan.  A forced plan was installed when it was planned.
         let mut planner_recosts = 0usize;
         let mut plan_switches = 0usize;
-        match self.exec_config.planner {
-            PlannerMode::CostBased(window) if self.exec_config.mode.uses_indexes() => {
-                let unpriced = self
-                    .planned
-                    .values()
-                    .any(|p| p.choice.is_none() && strategy_class(&p.strategy).is_some());
-                if self.tick.is_multiple_of(u64::from(window.ticks)) || unpriced {
-                    let before = self.maintained_profile();
-                    plan_switches = choose_physical(
-                        &mut self.planned,
-                        &self.runtime_stats,
-                        &self.cost_constants,
-                        self.table.len(),
-                        self.exec_config.cascading,
-                    );
-                    planner_recosts = 1;
-                    // Only switches that change which call sites are
-                    // maintained (or how) need a re-sync; swaps between
-                    // per-tick backends leave the maintained state valid.
-                    if plan_switches > 0 && before != self.maintained_profile() {
-                        self.index_manager.mark_stale();
-                    }
-                }
-            }
-            PlannerMode::ForceMaterialized if self.exec_config.mode.uses_indexes() => {
-                // Idempotent: after the first tick every legal site already
-                // carries the materialized choice and this returns 0.
+        if let PlannerMode::CostBased(window) = self.exec_config.planner {
+            let unpriced = self
+                .planned
+                .values()
+                .any(|p| p.choice.is_none() && strategy_class(&p.strategy).is_some());
+            let due = self.tick.is_multiple_of(u64::from(window.ticks)) || unpriced;
+            if due && self.exec_config.uses_indexes() {
                 let before = self.maintained_profile();
-                let switches = force_materialized(&mut self.planned);
-                if switches > 0 {
-                    plan_switches = switches;
-                    planner_recosts = 1;
-                    if before != self.maintained_profile() {
-                        self.index_manager.mark_stale();
-                    }
+                plan_switches = choose_physical(
+                    &mut self.planned,
+                    &self.runtime_stats,
+                    &self.cost_constants,
+                    self.table.len(),
+                    self.exec_config.cascading,
+                );
+                planner_recosts = 1;
+                // Only switches that change which call sites are
+                // maintained (or how) need a re-sync; swaps between
+                // per-tick backends leave the maintained state valid.
+                if plan_switches > 0 && before != self.maintained_profile() {
+                    self.index_manager.mark_stale();
                 }
             }
-            _ => {}
         }
         // Assign acting units to scripts.
         let mut assigned: Vec<bool> = vec![false; self.table.len()];
@@ -601,7 +554,7 @@ impl Simulation {
         }
 
         // Decision + action phases (including per-tick index building and,
-        // on the first tick of a maintained policy, the initial structure
+        // on the first tick of a maintained choice, the initial structure
         // build).  The oracle mode bypasses the bytecode VM entirely and
         // interprets the registered scripts' normalized ASTs.
         let phase_start = Instant::now();
@@ -689,8 +642,7 @@ impl Simulation {
         // relation, for accounting) back to the manager so maintained
         // structures absorb this tick's positional and value updates before
         // the next tick probes them.  Which call sites are maintained is
-        // decided per plan (globally by the policy, or per call site by the
-        // cost-based planner's choices).
+        // decided per call site by the installed physical choices.
         let wants_maintenance = self.planned.values().any(|p| {
             self.index_manager.plan_is_maintained(p) || self.index_manager.plan_is_materialized(p)
         });
@@ -897,10 +849,10 @@ impl Simulation {
     /// Restore the run state saved by [`Simulation::checkpoint`] into this
     /// simulation and continue under `config` — which may differ from the
     /// writer's configuration in any behaviour-neutral knob (parallelism,
-    /// maintenance policy, rebuild backend, planner mode, even naive vs
-    /// indexed): the conformance lattice proves every configuration computes
-    /// the same game, so the resumed trajectory is digest-identical to an
-    /// uninterrupted run regardless.
+    /// planner mode, forced backend, even naive vs indexed): the conformance
+    /// lattice proves every configuration computes the same game, so the
+    /// resumed trajectory is digest-identical to an uninterrupted run
+    /// regardless.
     ///
     /// The simulation must have been built with the same schema and the same
     /// scripts as the writer (both are fingerprint-checked; mismatches are
@@ -952,26 +904,15 @@ impl Simulation {
         // Assemble the resumed plan and index state on the side, so *every*
         // fallible step — including index reconstruction — happens before
         // any of this simulation's state is replaced.
+        // A forced plan is derived from `config` by `plan_registry`, never
+        // taken from the writer, so a migration from any planner mode lands
+        // on the same plan.  A cost-based resume continues under the
+        // writer's physical plan so a resume mid re-costing window does not
+        // re-bootstrap from priors; the next window boundary re-prices as
+        // usual.
         let mut planned = plan_registry(&self.registry, &table, &config);
-        if config.mode.uses_indexes() {
-            match config.planner {
-                // Continue under the writer's physical plan so a resume mid
-                // re-costing window does not re-bootstrap from priors; the
-                // next window boundary re-prices as usual.
-                PlannerMode::CostBased(_) => {
-                    sgl_exec::checkpoint::install_choices(&mut planned, choices);
-                }
-                // The forced mapping is deterministic — derive it rather
-                // than trusting the writer's choices, so a migration from
-                // any planner mode lands on the same plan.
-                PlannerMode::ForceMaterialized => {
-                    force_materialized(&mut planned);
-                }
-                // Under a heuristic resume configuration the choices are
-                // dropped — the heuristic mapping is the configuration's
-                // explicit request.
-                PlannerMode::Heuristic => {}
-            }
+        if config.planner.is_cost_based() && config.uses_indexes() {
+            sgl_exec::checkpoint::install_choices(&mut planned, choices);
         }
         // Deterministic index reconstruction + eager resume-time validation:
         // rebuild whatever maintained structures the resumed physical plan
@@ -1031,6 +972,15 @@ pub struct RunSummary {
     pub final_population: usize,
     /// Total wall-clock time per phase across the run.
     pub timings: PhaseTimings,
+}
+
+/// Backend / maintenance labels of one plan.  A site without an installed
+/// choice is answered by the scan.
+fn choice_labels(plan: &PlannedAggregate) -> (&'static str, &'static str) {
+    match &plan.choice {
+        Some(choice) => (choice.backend.label(), choice.maintenance.label()),
+        None => ("scan", "per-tick"),
+    }
 }
 
 #[cfg(test)]
@@ -1188,7 +1138,7 @@ mod tests {
 
     #[test]
     fn maintenance_policies_agree_with_rebuild_across_ticks() {
-        use sgl_exec::MaintenancePolicy;
+        use sgl_algebra::PhysicalBackend;
         let (_, mut rebuild) = build_sim(28, true);
         let reference: Vec<crate::replay::StateDigest> = (0..6)
             .map(|_| {
@@ -1196,51 +1146,57 @@ mod tests {
                 rebuild.digest()
             })
             .collect();
-        for policy in [
-            MaintenancePolicy::Incremental,
-            MaintenancePolicy::adaptive(),
+        for backend in [
+            PhysicalBackend::MaintainedGrid,
+            PhysicalBackend::Materialized,
         ] {
             let (schema, mut sim) = build_sim(28, true);
-            sim.set_exec_config(ExecConfig::indexed(&schema).with_policy(policy))
-                .unwrap();
+            sim.set_exec_config(
+                ExecConfig::indexed(&schema).with_planner(PlannerMode::Force(backend)),
+            )
+            .unwrap();
             for (tick, expected) in reference.iter().enumerate() {
                 let report = sim.step().unwrap();
                 assert_eq!(
                     sim.digest(),
                     *expected,
-                    "policy {policy:?} diverged at tick {tick}"
+                    "Force({backend:?}) diverged at tick {tick}"
                 );
-                assert_eq!(report.exec.naive_scans, 0, "{policy:?}");
+                assert_eq!(report.exec.naive_scans, 0, "{backend:?}");
             }
-            // The maintained policies actually maintained something.
-            let total_deltas: usize = sim
-                .history()
-                .iter()
-                .map(|r| r.exec.index_delta_ops + r.exec.partition_rebuilds)
-                .sum();
+            // The maintained backends actually did maintenance work, and the
+            // engine reported it.
+            let history = sim.history();
+            let work: usize = match backend {
+                PhysicalBackend::MaintainedGrid => history
+                    .iter()
+                    .map(|r| r.exec.index_delta_ops + r.exec.partition_rebuilds)
+                    .sum(),
+                _ => history.iter().map(|r| r.exec.materialized_serves).sum(),
+            };
+            assert!(work > 0, "{backend:?} never touched maintained state");
+            let manager = sim.index_manager();
             assert!(
-                total_deltas > 0,
-                "{policy:?} never touched maintained state"
-            );
-            assert!(sim.index_manager().policy().is_dynamic());
-            assert!(
-                sim.index_manager().maintained_aggregates() > 0,
-                "{policy:?}"
+                manager.maintained_aggregates() + manager.materialized_sites() > 0,
+                "{backend:?}"
             );
         }
+        // The per-tick reference kept nothing across ticks.
+        assert_eq!(rebuild.index_manager().maintained_aggregates(), 0);
     }
 
     #[test]
     fn maintenance_timings_are_recorded_for_dynamic_policies() {
-        use sgl_exec::MaintenancePolicy;
+        use sgl_algebra::PhysicalBackend;
         let (schema, mut sim) = build_sim(20, true);
         sim.set_exec_config(
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
+            ExecConfig::indexed(&schema)
+                .with_planner(PlannerMode::Force(PhysicalBackend::MaintainedGrid)),
         )
         .unwrap();
         sim.run(3).unwrap();
-        // The maintain phase ran (its duration is part of every report); the
-        // rebuild policy leaves it at zero.
+        // The maintain phase ran (its duration is part of every report); a
+        // per-tick plan leaves it at zero.
         let (_, mut plain) = build_sim(20, true);
         plain.run(3).unwrap();
         for report in plain.history() {
@@ -1277,18 +1233,16 @@ mod tests {
 
     #[test]
     fn oracle_mode_reproduces_plan_execution_digests() {
-        use sgl_exec::ExecMode;
         // Tick-for-tick digest equality of the oracle (interpreting the
         // battle script's AST) against naive and indexed bytecode execution.
-        let build = |mode: ExecMode| {
+        let build = |preset: fn(&Schema) -> ExecConfig| {
             let (schema, mut sim) = build_sim(26, true);
-            sim.set_exec_config(ExecConfig::for_mode(mode, &schema))
-                .unwrap();
+            sim.set_exec_config(preset(&schema)).unwrap();
             sim
         };
-        let mut oracle = build(ExecMode::Oracle);
-        let mut naive = build(ExecMode::Naive);
-        let mut indexed = build(ExecMode::Compiled);
+        let mut oracle = build(ExecConfig::oracle);
+        let mut naive = build(ExecConfig::naive);
+        let mut indexed = build(ExecConfig::indexed);
         for tick in 0..5 {
             let report = oracle.step().unwrap();
             naive.step().unwrap();
@@ -1351,7 +1305,7 @@ mod tests {
 
     #[test]
     fn resume_under_a_different_config_is_digest_identical() {
-        use sgl_exec::MaintenancePolicy;
+        use sgl_algebra::PhysicalBackend;
         let (_, mut reference) = build_sim(24, true);
         let digests: Vec<crate::replay::StateDigest> = (0..7)
             .map(|_| {
@@ -1364,14 +1318,20 @@ mod tests {
             writer.step().unwrap();
         }
         let bytes = writer.checkpoint().unwrap();
-        // Writer ran rebuild-each-tick serial; resume under incremental
-        // maintenance with 4 worker threads.
+        // Writer ran the per-tick paper plan serially; resume onto
+        // maintained grids with 4 worker threads.
         let (schema, mut resumed) = build_sim(24, true);
         let config = ExecConfig::indexed(&schema)
-            .with_policy(MaintenancePolicy::Incremental)
+            .with_planner(PlannerMode::Force(PhysicalBackend::MaintainedGrid))
             .with_parallelism(Parallelism::Threads(4));
         resumed.resume(&bytes, config).unwrap();
-        assert!(resumed.index_manager().policy().is_dynamic());
+        // The resumer took its own (maintained) plan, not the writer's, and
+        // rebuilt the maintained structures before its first tick.
+        assert!(resumed.index_manager().maintained_aggregates() > 0);
+        assert!(resumed
+            .physical_choices()
+            .iter()
+            .any(|(_, backend, maintenance)| backend == "grid" && maintenance == "incremental"));
         for (tick, expected) in digests.iter().enumerate().skip(4) {
             resumed.step().unwrap();
             assert_eq!(

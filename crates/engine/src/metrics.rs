@@ -8,8 +8,6 @@
 //! * [`PhaseTimings`] — how long each phase of a tick took (§6 lists the
 //!   phases: index building + decision + action inside the executor, then
 //!   post-processing, movement and the resurrection rule);
-//! * [`RollingStats`] — streaming mean / min / max / variance over any
-//!   per-tick quantity without storing the history;
 //! * [`ThroughputReport`] — ticks-per-second summary plus the 10-ticks/s
 //!   capacity check used for the §6.1 capacity claim.
 
@@ -28,8 +26,8 @@ pub struct PhaseTimings {
     /// Resurrection rule.
     pub resurrect: Duration,
     /// Cross-tick index maintenance (diff + delta application / partition
-    /// rebuilds) performed after the mutation phases; zero under the
-    /// rebuild-each-tick policy.
+    /// rebuilds) performed after the mutation phases; zero when every call
+    /// site is rebuilt per tick.
     pub maintain: Duration,
 }
 
@@ -99,80 +97,6 @@ impl PhaseAllocs {
         self.movement += other.movement;
         self.resurrect += other.resurrect;
         self.maintain += other.maintain;
-    }
-}
-
-/// Streaming statistics over a sequence of samples (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RollingStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RollingStats {
-    /// An empty accumulator.
-    pub fn new() -> RollingStats {
-        RollingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        let delta = sample - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (sample - self.mean);
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples; `None` when no samples were observed.
-    pub fn mean(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.mean)
-        } else {
-            None
-        }
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.min)
-        } else {
-            None
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.max)
-        } else {
-            None
-        }
-    }
-
-    /// Population standard deviation of the samples.
-    pub fn std_dev(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some((self.m2 / self.count as f64).max(0.0).sqrt())
-        } else {
-            None
-        }
     }
 }
 
@@ -274,30 +198,6 @@ mod tests {
         total.accumulate(&with_maintenance);
         assert_eq!(total.maintain, Duration::from_millis(5));
         assert_eq!(total.total(), Duration::from_millis(63));
-    }
-
-    #[test]
-    fn rolling_stats_match_direct_computation() {
-        let samples = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut stats = RollingStats::new();
-        for s in samples {
-            stats.push(s);
-        }
-        assert_eq!(stats.count(), 8);
-        assert_eq!(stats.mean(), Some(5.0));
-        assert_eq!(stats.min(), Some(2.0));
-        assert_eq!(stats.max(), Some(9.0));
-        assert!((stats.std_dev().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_rolling_stats_yield_none() {
-        let stats = RollingStats::new();
-        assert_eq!(stats.mean(), None);
-        assert_eq!(stats.min(), None);
-        assert_eq!(stats.max(), None);
-        assert_eq!(stats.std_dev(), None);
-        assert_eq!(stats.count(), 0);
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! The combination operator `⊕` on effect relations (paper §4.2).
 //!
 //! `⊕R` groups a multiset of effect rows by unit key and folds every effect
-//! attribute with its combination function (`sum`, `max` or `min`).  The
-//! operator is associative, commutative and idempotent on already-combined
-//! relations — the algebraic identities of Eq. (3) that the optimizer relies
-//! on.  The property-based tests at the bottom of this module check those laws
-//! on randomly generated effect relations.
+//! attribute with its combination function (`sum`, `max` or `min`).  For
+//! `min`, `max` and integer `sum` the operator is associative, commutative
+//! and idempotent on already-combined relations — the algebraic identities
+//! of Eq. (3) that the optimizer relies on.  A float `sum` is commutative
+//! but not associative under IEEE addition: regrouping the same rows can
+//! change the last bits.  So the result of a float fold depends on the order
+//! of its steps, and the parallel tick executor (`sgl_exec::tick`) replays
+//! its shard logs in the serial order instead of merging partial buffers.
+//! The property-based tests at the bottom of this module check the laws on
+//! randomly generated effect relations of `Int` values only.
 
 use std::sync::Arc;
 
@@ -148,7 +153,8 @@ mod tests {
         }
 
         /// ⊕ is insensitive to the order of effect rows (commutativity +
-        /// associativity of sum/min/max).
+        /// associativity of integer sum and of min/max).  The rows carry
+        /// `Int` values only: a float sum would depend on the order.
         #[test]
         fn order_insensitive() {
             let s = schema();

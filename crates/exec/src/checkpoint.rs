@@ -8,10 +8,12 @@
 //!   Without it a resumed planner would re-bootstrap from priors and could
 //!   (harmlessly but observably in `explain`) choose different backends for
 //!   a few windows.
-//! * the installed per-call-site [`PhysicalChoice`]s and the writer's
-//!   [`PlannerMode`] — so a resume *mid* re-costing window continues under
-//!   the exact physical plan the writer was executing, and the next re-cost
-//!   happens at the same tick boundary it would have anyway.
+//! * the writer's [`PlannerMode`] and, under the cost-based planner, the
+//!   installed per-call-site [`PhysicalChoice`]s — so a resume *mid*
+//!   re-costing window continues under the exact physical plan the writer
+//!   was executing, and the next re-cost happens at the same tick boundary
+//!   it would have anyway.  A forced plan is a function of the
+//!   configuration, so its choices are not written.
 //! * the [`MaintStats`] counters of the most recent maintenance pass, for
 //!   monitoring continuity across a migration.
 //!
@@ -152,31 +154,36 @@ pub fn import_runtime_stats(bytes: &[u8]) -> Result<RuntimeStats> {
 /// One decoded planner entry: call-site name and its installed choice.
 pub type ImportedChoice = (String, PhysicalChoice);
 
-/// Serialize the writer's planner mode and every installed physical choice,
-/// sorted by call-site name.
+/// Planner-mode tags of the PLANNER section.  Tags 0 (the retired fixed
+/// heuristic: the paper's structures rebuilt per tick) and 2 (the retired
+/// forced-materialized mode) are only read, as the `Force` plans they were.
+const MODE_COST_BASED: u8 = 1;
+const MODE_FORCE: u8 = 3;
+
+/// Serialize the writer's planner mode and, under the cost-based planner,
+/// every installed physical choice, sorted by call-site name.
 pub fn export_planner_state(
     planner: PlannerMode,
     planned: &FxHashMap<String, PlannedAggregate>,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match planner {
-        PlannerMode::Heuristic => {
-            w.u8(0);
-            w.u32(0);
-        }
         PlannerMode::CostBased(window) => {
-            w.u8(1);
+            w.u8(MODE_COST_BASED);
             w.u32(window.ticks);
         }
-        PlannerMode::ForceMaterialized => {
-            w.u8(2);
-            w.u32(0);
+        PlannerMode::Force(backend) => {
+            w.u8(MODE_FORCE);
+            w.u32(backend.index() as u32);
         }
     }
-    let mut entries: Vec<(&String, &PhysicalChoice)> = planned
-        .iter()
-        .filter_map(|(name, plan)| plan.choice.as_ref().map(|c| (name, c)))
-        .collect();
+    let mut entries: Vec<(&String, &PhysicalChoice)> = match planner {
+        PlannerMode::CostBased(_) => planned
+            .iter()
+            .filter_map(|(name, plan)| plan.choice.as_ref().map(|c| (name, c)))
+            .collect(),
+        PlannerMode::Force(_) => Vec::new(),
+    };
     entries.sort_by(|a, b| a.0.cmp(b.0));
     w.u32(entries.len() as u32);
     for (name, choice) in entries {
@@ -192,34 +199,32 @@ pub fn export_planner_state(
     w.finish()
 }
 
+fn backend_of(code: usize) -> Result<PhysicalBackend> {
+    PhysicalBackend::ALL
+        .get(code)
+        .copied()
+        .ok_or_else(|| err(format!("unknown physical backend code {code}")))
+}
+
 /// Decode planner state written by [`export_planner_state`]: the writer's
 /// planner mode plus the installed choices (with empty alternative lists —
 /// alternatives are re-priced at the next re-costing pass).
 pub fn import_planner_state(bytes: &[u8]) -> Result<(PlannerMode, Vec<ImportedChoice>)> {
     let mut r = ByteReader::new(bytes);
-    let mode = match r.u8("planner mode")? {
-        0 => {
-            let _ = r.u32("planner window")?;
-            PlannerMode::Heuristic
-        }
-        1 => {
-            let ticks = r.u32("planner window")?;
-            PlannerMode::CostBased(AdaptiveWindow::every(ticks))
-        }
-        2 => {
-            let _ = r.u32("planner window")?;
-            PlannerMode::ForceMaterialized
-        }
+    let tag = r.u8("planner mode")?;
+    let param = r.u32("planner parameter")?;
+    let mode = match tag {
+        0 => PlannerMode::Force(PhysicalBackend::LayeredTree),
+        MODE_COST_BASED => PlannerMode::CostBased(AdaptiveWindow::every(param)),
+        2 => PlannerMode::Force(PhysicalBackend::Materialized),
+        MODE_FORCE => PlannerMode::Force(backend_of(param as usize)?),
         other => return Err(err(format!("unknown planner mode {other}"))),
     };
     let count = r.u32("choice count")? as usize;
     let mut choices = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
         let name = r.str("choice call-site name")?;
-        let backend_idx = r.u8("choice backend")? as usize;
-        let backend = *PhysicalBackend::ALL
-            .get(backend_idx)
-            .ok_or_else(|| err(format!("unknown physical backend code {backend_idx}")))?;
+        let backend = backend_of(r.u8("choice backend")? as usize)?;
         let maintenance = match r.u8("choice maintenance")? {
             0 => MaintenanceChoice::PerTick,
             1 => MaintenanceChoice::Incremental,
@@ -460,6 +465,47 @@ mod tests {
             ),
             0
         );
+
+        // A forced plan writes its mode and no choices: the resumer derives
+        // them from its own configuration.
+        for backend in PhysicalBackend::ALL {
+            let mode = PlannerMode::Force(backend);
+            let (back_mode, choices) =
+                import_planner_state(&export_planner_state(mode, &fresh)).unwrap();
+            assert_eq!(back_mode, mode);
+            assert!(choices.is_empty(), "{backend:?}");
+        }
+
+        // Checkpoints of the retired planner modes still decode: tag 0 (the
+        // fixed heuristic, which wrote no choices) is the paper's forced
+        // plan, tag 2 (forced materialization, which wrote its choices) is
+        // `Force(Materialized)`.
+        let mut w = ByteWriter::new();
+        w.u8(0);
+        w.u32(0);
+        w.u32(0);
+        let (legacy_mode, choices) = import_planner_state(&w.finish()).unwrap();
+        assert_eq!(
+            legacy_mode,
+            PlannerMode::Force(PhysicalBackend::LayeredTree)
+        );
+        assert!(choices.is_empty());
+        let mut w = ByteWriter::new();
+        w.u8(2);
+        w.u32(0);
+        w.u32(1);
+        w.str("CountEnemiesInRange");
+        w.u8(PhysicalBackend::Materialized.index() as u8);
+        w.u8(1);
+        w.f64(0.0);
+        let (legacy_mode, choices) = import_planner_state(&w.finish()).unwrap();
+        assert_eq!(
+            legacy_mode,
+            PlannerMode::Force(PhysicalBackend::Materialized)
+        );
+        assert_eq!(choices.len(), 1);
+        assert_eq!(choices[0].1.backend, PhysicalBackend::Materialized);
+        assert_eq!(choices[0].1.maintenance, MaintenanceChoice::Incremental);
     }
 
     #[test]
@@ -478,6 +524,14 @@ mod tests {
         w.u8(200); // unknown backend
         w.u8(0);
         w.f64(1.0);
+        assert!(matches!(
+            import_planner_state(&w.finish()),
+            Err(EnvError::Checkpoint(_))
+        ));
+        let mut w = ByteWriter::new();
+        w.u8(MODE_FORCE);
+        w.u32(PhysicalBackend::ALL.len() as u32); // unknown forced backend
+        w.u32(0);
         assert!(matches!(
             import_planner_state(&w.finish()),
             Err(EnvError::Checkpoint(_))

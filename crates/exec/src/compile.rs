@@ -183,7 +183,7 @@ pub(crate) enum ClauseTarget {
     /// `e.key = term`: one key look-up.
     Key(ClosedTerm),
     /// A conjunctive filter with a full rectangle: spatial enumeration
-    /// (when the configuration enables the area-of-effect index).
+    /// (when the tick has an index view; otherwise every row is tested).
     Rect(RectCode),
     /// Every row.
     Scan,

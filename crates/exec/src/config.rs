@@ -1,21 +1,16 @@
 //! Executor configuration and per-tick statistics.
 
+use sgl_algebra::cost::PhysicalBackend;
 use sgl_env::{AttrId, Schema};
 
 use crate::error::ExecError;
 
-/// Which execution strategy evaluates the aggregate queries of a tick.
+/// Which executor evaluates the scripts of a tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Straightforward per-unit evaluation: every aggregate scans the whole
-    /// environment (`O(n)` per unit, `O(n²)` per tick) — the baseline of §6.
-    /// Runs the same register bytecode as [`ExecMode::Compiled`], with no
-    /// index view.
-    Naive,
-    /// Set-at-a-time evaluation through per-tick index structures
-    /// (`O(n log n)` per tick) — the paper's contribution — with scripts
-    /// lowered to register bytecode ([`crate::compile`]) and run by the
-    /// dispatch-loop VM (`vm` module).
+    /// Scripts lowered to register bytecode ([`crate::compile`]) and run by
+    /// the dispatch-loop VM (`vm` module); aggregate call sites are answered
+    /// by the physical backends the [`PlannerMode`] installs.
     Compiled,
     /// The reference interpreter of the conformance suite: tree-walking
     /// evaluation of the *normalized script AST* itself — no planner, no
@@ -23,58 +18,6 @@ pub enum ExecMode {
     /// [`crate::oracle`]).  Deliberately the simplest possible execution so
     /// every other configuration can be differentially tested against it.
     Oracle,
-}
-
-impl ExecMode {
-    /// True for the mode that plans aggregates and probes index structures.
-    pub fn uses_indexes(self) -> bool {
-        self == ExecMode::Compiled
-    }
-}
-
-/// How aggregate index structures are kept in sync with the environment
-/// across clock ticks (the §5.3 / §6.4 design axis this engine makes
-/// pluggable).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MaintenancePolicy {
-    /// Discard every structure at end of tick and rebuild lazily on first
-    /// use in the next tick — the paper's choice for volatile attributes.
-    RebuildEachTick,
-    /// Keep dynamically maintained structures alive across ticks and apply
-    /// only the per-unit deltas (movement, spawns, deaths, value changes)
-    /// observed after each tick's post-processing.
-    Incremental,
-    /// Decide per partition each tick: partitions whose update ratio exceeds
-    /// `rebuild_ratio` are rebuilt from scratch, the rest are maintained
-    /// incrementally.
-    Adaptive {
-        /// Fraction of changed rows (0.0–1.0) above which a partition is
-        /// rebuilt instead of patched.
-        rebuild_ratio: f64,
-    },
-}
-
-impl MaintenancePolicy {
-    /// Default adaptive policy (rebuild a partition when more than 40 % of
-    /// its rows changed).
-    pub fn adaptive() -> MaintenancePolicy {
-        MaintenancePolicy::Adaptive { rebuild_ratio: 0.4 }
-    }
-
-    /// True for the policies that keep maintained structures across ticks.
-    pub fn is_dynamic(&self) -> bool {
-        !matches!(self, MaintenancePolicy::RebuildEachTick)
-    }
-}
-
-/// Which structure backs the per-tick (rebuilt) divisible-aggregate indexes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebuildBackend {
-    /// Layered aggregate range tree (Figure 8) — the paper's structure.
-    LayeredTree,
-    /// Bucket PR quadtree with per-node summaries (ablation alternative that
-    /// also answers exact MIN/MAX).
-    QuadTree,
 }
 
 /// How many worker threads execute the decision/action phases of a tick.
@@ -170,26 +113,22 @@ impl Default for AdaptiveWindow {
     }
 }
 
-/// How the physical backend of each aggregate call site is chosen.
+/// How the physical backend of each aggregate call site is chosen — the one
+/// axis that decides which structure answers a call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannerMode {
-    /// Fixed heuristics: the strategy planner's structure mapping driven by
-    /// the configured [`MaintenancePolicy`] / [`RebuildBackend`] — the
-    /// behaviour of every pre-cost-based configuration.
-    Heuristic,
     /// Cost-based: price every alternative from runtime statistics
     /// (`sgl_algebra::cost`) and re-cost on the given window.  Only
     /// meaningful under [`ExecMode::Compiled`]; behaviour-neutral by
     /// construction (every alternative returns identical results), so state
     /// digests never depend on the mode.
     CostBased(AdaptiveWindow),
-    /// Force the materialized-answer class on every call site where it is
-    /// legal (divisible and MIN/MAX strategies; nearest sites keep their
-    /// heuristic structures).  A testing/conformance knob: the generated
-    /// worlds are short and calm enough that the cost model would rarely
-    /// choose materialization on its own, and the lattice needs
-    /// deterministic materialized rows to prove behaviour neutrality.
-    ForceMaterialized,
+    /// Install one backend on every call site that can use it, fixed for the
+    /// whole run (see [`crate::planner::forced_choice`] for the rule):
+    /// a site gets the backend when its strategy class prices it, and the
+    /// paper's structure for its class otherwise.  `Force(Scan)` is the naive
+    /// baseline of §6 and runs without an index view at all.
+    Force(PhysicalBackend),
 }
 
 impl PlannerMode {
@@ -201,12 +140,6 @@ impl PlannerMode {
     /// True for [`PlannerMode::CostBased`].
     pub fn is_cost_based(&self) -> bool {
         matches!(self, PlannerMode::CostBased(_))
-    }
-
-    /// True for the modes that install per-call-site physical choices (the
-    /// cost-based planner and the forced-materialized testing mode).
-    pub fn installs_choices(&self) -> bool {
-        !matches!(self, PlannerMode::Heuristic)
     }
 }
 
@@ -232,18 +165,12 @@ impl SpatialAttrs {
 /// Full executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecConfig {
-    /// Naive, indexed (compiled) or oracle execution.
+    /// Compiled (VM) or oracle execution.
     pub mode: ExecMode,
     /// Spatial attributes used by the index planner.
     pub spatial: Option<SpatialAttrs>,
     /// Use fractional cascading in the layered aggregate trees (§5.3.1).
     pub cascading: bool,
-    /// Use the effect-centre index for area-of-effect actions (§5.4).
-    pub aoe_index: bool,
-    /// How index structures are maintained across ticks.
-    pub policy: MaintenancePolicy,
-    /// Structure backing rebuilt divisible indexes.
-    pub backend: RebuildBackend,
     /// Worker threads for the decision/action phases of a tick.
     pub parallelism: Parallelism,
     /// How physical backends are chosen per aggregate call site.
@@ -251,41 +178,34 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// Configuration for naive execution against a schema.
+    /// Configuration for naive execution against a schema: every aggregate
+    /// scans the whole environment (`O(n)` per unit, `O(n²)` per tick) — the
+    /// baseline of §6, on the same bytecode as every planned configuration.
     pub fn naive(schema: &Schema) -> ExecConfig {
-        ExecConfig {
-            mode: ExecMode::Naive,
-            spatial: SpatialAttrs::from_schema(schema),
-            cascading: false,
-            aoe_index: false,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
-            parallelism: Parallelism::from_env().unwrap_or(Parallelism::Off),
-            planner: PlannerMode::Heuristic,
-        }
-    }
-
-    /// Configuration for planned (indexed) execution against a schema, all
-    /// paper optimizations enabled ([`ExecMode::Compiled`]).
-    pub fn indexed(schema: &Schema) -> ExecConfig {
         ExecConfig {
             mode: ExecMode::Compiled,
             spatial: SpatialAttrs::from_schema(schema),
-            cascading: true,
-            aoe_index: true,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
+            cascading: false,
             parallelism: Parallelism::from_env().unwrap_or(Parallelism::Off),
-            planner: PlannerMode::Heuristic,
+            planner: PlannerMode::Force(PhysicalBackend::Scan),
+        }
+    }
+
+    /// Configuration for the paper's indexed execution against a schema:
+    /// layered aggregate trees with fractional cascading, sweep-line MIN/MAX
+    /// and kD-tree nearest neighbours, all rebuilt every tick (§5.3).
+    pub fn indexed(schema: &Schema) -> ExecConfig {
+        ExecConfig {
+            cascading: true,
+            planner: PlannerMode::Force(PhysicalBackend::LayeredTree),
+            ..ExecConfig::naive(schema)
         }
     }
 
     /// Configuration for the cost-based planner: indexed execution whose
     /// physical backends are chosen per call site by the cost model of
     /// [`sgl_algebra::cost`], re-costed on the default
-    /// [`AdaptiveWindow`].  The base maintenance policy stays
-    /// `RebuildEachTick`; cross-tick maintained structures are created
-    /// exactly for the call sites the cost model routes to the grid.
+    /// [`AdaptiveWindow`].
     pub fn cost_based(schema: &Schema) -> ExecConfig {
         ExecConfig {
             planner: PlannerMode::CostBased(AdaptiveWindow::default()),
@@ -302,40 +222,21 @@ impl ExecConfig {
             mode: ExecMode::Oracle,
             spatial: SpatialAttrs::from_schema(schema),
             cascading: false,
-            aoe_index: false,
-            policy: MaintenancePolicy::RebuildEachTick,
-            backend: RebuildBackend::LayeredTree,
             parallelism: Parallelism::Off,
-            planner: PlannerMode::Heuristic,
+            planner: PlannerMode::Force(PhysicalBackend::Scan),
         }
     }
 
-    /// The preset configuration for an execution mode — the single mapping
-    /// every scenario builder uses, so adding a mode means adding one arm
-    /// here instead of one per call site.
-    pub fn for_mode(mode: ExecMode, schema: &Schema) -> ExecConfig {
-        match mode {
-            ExecMode::Naive => ExecConfig::naive(schema),
-            ExecMode::Compiled => ExecConfig::indexed(schema),
-            ExecMode::Oracle => ExecConfig::oracle(schema),
-        }
+    /// True when ticks probe index structures: compiled execution under any
+    /// planner but `Force(Scan)`.  The naive and oracle configurations open
+    /// no index view, so every probe and area-of-effect clause scans.
+    pub fn uses_indexes(&self) -> bool {
+        self.mode == ExecMode::Compiled && self.planner != PlannerMode::Force(PhysicalBackend::Scan)
     }
 
     /// Set the execution mode.
     pub fn with_mode(mut self, mode: ExecMode) -> ExecConfig {
         self.mode = mode;
-        self
-    }
-
-    /// Set the cross-tick maintenance policy.
-    pub fn with_policy(mut self, policy: MaintenancePolicy) -> ExecConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// Set the structure backing rebuilt divisible indexes.
-    pub fn with_backend(mut self, backend: RebuildBackend) -> ExecConfig {
-        self.backend = backend;
         self
     }
 
@@ -345,7 +246,7 @@ impl ExecConfig {
         self
     }
 
-    /// Set the planner mode (heuristic vs cost-based).
+    /// Set the planner mode.
     pub fn with_planner(mut self, planner: PlannerMode) -> ExecConfig {
         self.planner = planner;
         self
@@ -378,8 +279,8 @@ pub struct TickStats {
     pub acting_units: usize,
     /// Incremental delta operations applied to maintained index structures.
     pub index_delta_ops: usize,
-    /// Maintained partitions rebuilt from scratch (adaptive policy or
-    /// invalidation).
+    /// Maintained partitions rebuilt from scratch (first build, a `Rebuild`
+    /// maintenance choice, or invalidation).
     pub partition_rebuilds: usize,
     /// Aggregate evaluations answered by a cross-tick maintained structure.
     pub maintained_probes: usize,
@@ -437,23 +338,22 @@ mod tests {
     fn config_presets() {
         let schema = paper_schema();
         let naive = ExecConfig::naive(&schema);
-        assert_eq!(naive.mode, ExecMode::Naive);
-        assert!(!naive.aoe_index);
+        assert_eq!(naive.mode, ExecMode::Compiled);
+        assert_eq!(naive.planner, PlannerMode::Force(PhysicalBackend::Scan));
+        assert!(!naive.cascading);
         let indexed = ExecConfig::indexed(&schema);
         assert_eq!(indexed.mode, ExecMode::Compiled);
-        assert_eq!(indexed.with_mode(ExecMode::Naive).mode, ExecMode::Naive);
-        assert!(indexed.cascading && indexed.aoe_index);
-        assert_eq!(indexed.policy, MaintenancePolicy::RebuildEachTick);
-        assert_eq!(indexed.backend, RebuildBackend::LayeredTree);
-        let incremental = indexed.with_policy(MaintenancePolicy::Incremental);
-        assert!(incremental.policy.is_dynamic());
-        assert!(MaintenancePolicy::adaptive().is_dynamic());
-        assert!(!MaintenancePolicy::RebuildEachTick.is_dynamic());
-        let quad = indexed.with_backend(RebuildBackend::QuadTree);
-        assert_eq!(quad.backend, RebuildBackend::QuadTree);
+        assert_eq!(indexed.with_mode(ExecMode::Oracle).mode, ExecMode::Oracle);
+        assert!(indexed.cascading);
+        assert_eq!(
+            indexed.planner,
+            PlannerMode::Force(PhysicalBackend::LayeredTree)
+        );
+        let cost = ExecConfig::cost_based(&schema);
+        assert!(cost.planner.is_cost_based() && cost.cascading);
         let oracle = ExecConfig::oracle(&schema);
         assert_eq!(oracle.mode, ExecMode::Oracle);
-        assert!(!oracle.cascading && !oracle.aoe_index);
+        assert!(!oracle.cascading);
         // The oracle is serial even when SGL_PARALLELISM asks for threads.
         assert_eq!(oracle.parallelism, Parallelism::Off);
     }
@@ -503,12 +403,15 @@ mod tests {
 
     #[test]
     fn exec_modes_classify_index_usage() {
-        assert!(ExecMode::Compiled.uses_indexes());
-        assert!(!ExecMode::Naive.uses_indexes());
-        assert!(!ExecMode::Oracle.uses_indexes());
         let schema = paper_schema();
-        for mode in [ExecMode::Naive, ExecMode::Compiled, ExecMode::Oracle] {
-            assert_eq!(ExecConfig::for_mode(mode, &schema).mode, mode);
+        assert!(ExecConfig::indexed(&schema).uses_indexes());
+        assert!(ExecConfig::cost_based(&schema).uses_indexes());
+        assert!(!ExecConfig::naive(&schema).uses_indexes());
+        assert!(!ExecConfig::oracle(&schema).uses_indexes());
+        for backend in PhysicalBackend::ALL {
+            let forced = ExecConfig::indexed(&schema).with_planner(PlannerMode::Force(backend));
+            assert_eq!(forced.uses_indexes(), backend != PhysicalBackend::Scan);
+            assert!(!forced.with_mode(ExecMode::Oracle).uses_indexes());
         }
     }
 

@@ -1,23 +1,25 @@
-//! The cross-tick index subsystem: a persistent [`IndexManager`] applying a
-//! [`MaintenancePolicy`], plus the per-tick [`TickIndexes`] probe cache.
+//! The cross-tick index subsystem: a persistent [`IndexManager`] owning the
+//! maintained structures, plus the per-tick [`TickIndexes`] probe cache.
 //!
 //! Mirrors the experimental setup of §6: the categorical part of each filter
 //! (player, unit type) selects partitions of a hash layer; each partition
 //! owns the structure required by the aggregate's strategy.  Unlike the
 //! paper's engine — which hardcodes rebuild-per-tick — the structures behind
-//! the hash layer are pluggable ([`sgl_index::traits`]) and their lifetime
-//! is governed by the configured policy:
+//! the hash layer are pluggable ([`sgl_index::traits`]), and each call
+//! site's installed [`PhysicalChoice`](crate::PhysicalChoice) decides which
+//! one answers it and how it lives across ticks:
 //!
-//! * **`RebuildEachTick`** — structures are built lazily on first use and
-//!   discarded at end of tick (the paper's choice, §5.3);
-//! * **`Incremental`** — maintained [`DynamicAggGrid`]s live inside the
+//! * **per-tick** backends (layered tree, quadtree, sweep, kD-tree) are
+//!   built lazily on first use and discarded at end of tick (the paper's
+//!   choice, §5.3);
+//! * **maintained grids** ([`DynamicAggGrid`]) live inside the
 //!   [`IndexManager`] across ticks; after each tick's post-processing and
 //!   movement the engine hands the environment back and the manager applies
 //!   only the per-unit deltas (diffed against its mirror of the last
 //!   indexed state — the effect relation alone cannot describe collision
-//!   -resolved movement);
-//! * **`Adaptive`** — per partition, whichever of the two is predicted
-//!   cheaper by the observed update ratio.
+//!   -resolved movement), or rebuilds every touched partition wholesale
+//!   under a `Rebuild` maintenance choice;
+//! * **materialized answers** are patched from the same delta stream.
 //!
 //! Partition keys are `u64` fingerprints of the categorical `Value` vector
 //! (no per-probe string building — the former `encode_values` hot path).
@@ -39,7 +41,7 @@ use sgl_lang::eval::{eval_term, EvalContext, NoAggregates, ScriptValue};
 
 use sgl_algebra::cost::{MaintenanceChoice, PhysicalBackend};
 
-use crate::config::{ExecConfig, MaintenancePolicy, SpatialAttrs, TickStats};
+use crate::config::{ExecConfig, SpatialAttrs, TickStats};
 use crate::error::{ExecError, Result};
 use crate::filter::FilterAnalysis;
 use crate::planner::{AggStrategy, PlannedAggregate};
@@ -316,14 +318,13 @@ struct MatAggState {
 
 /// The cross-tick owner of aggregate index structures.
 ///
-/// Under `RebuildEachTick` the manager is stateless (structures live only in
-/// the per-tick [`TickIndexes`]).  Under the dynamic policies it owns the
-/// maintained structures, a mirror of the last indexed environment, and the
-/// diff/patch machinery that keeps them in sync: [`IndexManager::end_tick`]
-/// is called by the engine after post-processing, movement and resurrection
-/// have mutated the environment.
+/// Per-tick structures live only in the per-tick [`TickIndexes`].  For the
+/// call sites routed to a maintained grid or a materialized answer store the
+/// manager owns those structures, a mirror of the last indexed environment,
+/// and the diff/patch machinery that keeps them in sync:
+/// [`IndexManager::end_tick`] is called by the engine after post-processing,
+/// movement and resurrection have mutated the environment.
 pub struct IndexManager {
-    policy: MaintenancePolicy,
     spatial: Option<SpatialAttrs>,
     dynamic: FxHashMap<String, DynAggState>,
     /// Materialized answer stores, one per call site the planner routed to
@@ -335,21 +336,17 @@ pub struct IndexManager {
     pub last_maint: MaintStats,
 }
 
-/// Whether a planned aggregate is served by a cross-tick maintained
-/// structure: decided per call site by the cost-based planner's choice when
-/// one is installed, otherwise globally by the maintenance policy.
-pub(crate) fn plan_is_maintained(policy: MaintenancePolicy, plan: &PlannedAggregate) -> bool {
-    if !plan.is_indexed() {
-        return false;
-    }
-    match &plan.choice {
-        Some(choice) => choice.backend == PhysicalBackend::MaintainedGrid,
-        None => policy.is_dynamic(),
-    }
+/// Whether a planned aggregate is served by a cross-tick maintained grid.
+pub(crate) fn plan_is_maintained(plan: &PlannedAggregate) -> bool {
+    plan.is_indexed()
+        && plan
+            .choice
+            .as_ref()
+            .is_some_and(|c| c.backend == PhysicalBackend::MaintainedGrid)
 }
 
-/// Whether a planned aggregate is served from a materialized answer store.
-/// Only a cost-based (or forced) choice routes here, and only for the
+/// Whether a planned aggregate is served from a materialized answer store:
+/// a [`PhysicalBackend::Materialized`] choice, legal only for the
 /// divisible and MIN/MAX strategies: nearest/argbest answers embed output
 /// terms of the winning row that can change without any delta the mirror
 /// observes, so they are never materialized.
@@ -394,28 +391,19 @@ fn mat_minimize_of(plan: &PlannedAggregate) -> Vec<bool> {
     }
 }
 
-/// The per-partition rebuild threshold for a maintained aggregate: the
-/// policy's ratio under the heuristic planner; under a cost-based choice,
-/// `Incremental` patches unconditionally and `Rebuild` (the modeled
-/// break-even was crossed) rebuilds every touched partition wholesale.
-fn effective_rebuild_ratio(policy: MaintenancePolicy, plan: &PlannedAggregate) -> f64 {
-    match &plan.choice {
-        Some(choice) => match choice.maintenance {
-            MaintenanceChoice::Rebuild => 0.0,
-            _ => f64::INFINITY,
-        },
-        None => match policy {
-            MaintenancePolicy::Adaptive { rebuild_ratio } => rebuild_ratio,
-            _ => f64::INFINITY,
-        },
-    }
+/// Whether a maintained grid rebuilds every touched partition wholesale (a
+/// `Rebuild` maintenance choice: the modeled break-even was crossed) instead
+/// of patching it with the per-unit deltas.
+fn rebuilds_wholesale(plan: &PlannedAggregate) -> bool {
+    plan.choice
+        .as_ref()
+        .is_some_and(|c| c.maintenance == MaintenanceChoice::Rebuild)
 }
 
 impl IndexManager {
     /// Create a manager for a configuration.
     pub fn new(config: &ExecConfig) -> IndexManager {
         IndexManager {
-            policy: config.policy,
             spatial: config.spatial,
             dynamic: FxHashMap::default(),
             materialized: FxHashMap::default(),
@@ -424,12 +412,8 @@ impl IndexManager {
         }
     }
 
-    /// The configured maintenance policy.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
-    }
-
-    /// Number of maintained aggregate states (0 under `RebuildEachTick`).
+    /// Number of maintained aggregate states (0 when no call site is routed
+    /// to a maintained grid).
     pub fn maintained_aggregates(&self) -> usize {
         self.dynamic.len()
     }
@@ -464,16 +448,14 @@ impl IndexManager {
         self.synced = false;
     }
 
-    /// Whether this plan is served by a cross-tick maintained structure
-    /// under the manager's policy (per call site when a cost-based choice is
-    /// installed).
+    /// Whether this plan is served by a cross-tick maintained grid.
     pub fn plan_is_maintained(&self, plan: &PlannedAggregate) -> bool {
-        plan_is_maintained(self.policy, plan)
+        plan_is_maintained(plan)
     }
 
     /// Whether this plan is served by a materialized per-site answer store
-    /// (a cost-based or forced [`PhysicalBackend::Materialized`] choice on a
-    /// strategy whose answers can be patched from deltas).  Materialized
+    /// (a [`PhysicalBackend::Materialized`] choice on a strategy whose
+    /// answers can be patched from deltas).  Materialized
     /// sites need the end-of-tick maintenance pass even when no grid is
     /// maintained: that pass is where the tick's deltas patch the stored
     /// answers.
@@ -512,9 +494,8 @@ impl IndexManager {
         planned: &FxHashMap<String, PlannedAggregate>,
         constants: &FxHashMap<String, Value>,
     ) -> Result<MaintStats> {
-        let policy = self.policy;
-        let any_grid = planned.values().any(|p| plan_is_maintained(policy, p));
-        let any_mat = planned.values().any(|p| plan_is_materialized(p));
+        let any_grid = planned.values().any(plan_is_maintained);
+        let any_mat = planned.values().any(plan_is_materialized);
         if !any_grid && !any_mat {
             self.dynamic.clear();
             self.materialized.clear();
@@ -527,15 +508,12 @@ impl IndexManager {
         };
         // Drop states for aggregates that disappeared from the registry or
         // are no longer routed to a maintained structure.
-        self.dynamic.retain(|name, _| {
-            planned
-                .get(name)
-                .is_some_and(|p| plan_is_maintained(policy, p))
-        });
+        self.dynamic
+            .retain(|name, _| planned.get(name).is_some_and(plan_is_maintained));
         self.materialized
-            .retain(|name, _| planned.get(name).is_some_and(|p| plan_is_materialized(p)));
+            .retain(|name, _| planned.get(name).is_some_and(plan_is_materialized));
         for (name, plan) in planned {
-            if plan_is_maintained(policy, plan) {
+            if plan_is_maintained(plan) {
                 let state = self
                     .dynamic
                     .entry(name.clone())
@@ -547,8 +525,8 @@ impl IndexManager {
                         mirror: FxHashMap::default(),
                     });
                 state.cat_attrs = resolve_cat_attrs(&plan.analysis, table)?;
-                let ratio = effective_rebuild_ratio(policy, plan);
-                sync_state(state, table, spatial, constants, ratio, &mut stats)?;
+                let rebuild = rebuilds_wholesale(plan);
+                sync_state(state, table, spatial, constants, rebuild, &mut stats)?;
             }
             if plan_is_materialized(plan) {
                 let state = self
@@ -651,14 +629,14 @@ fn resolve_cat_attrs(analysis: &FilterAnalysis, table: &EnvTable) -> Result<Vec<
         .collect()
 }
 
-/// Diff one aggregate's mirror against the environment and patch (or
-/// rebuild) its per-partition grids.
+/// Diff one aggregate's mirror against the environment and patch its
+/// per-partition grids, or rebuild every touched partition when `rebuild`.
 fn sync_state(
     state: &mut DynAggState,
     table: &EnvTable,
     spatial: SpatialAttrs,
     constants: &FxHashMap<String, Value>,
-    rebuild_ratio: f64,
+    rebuild: bool,
     stats: &mut MaintStats,
 ) -> Result<()> {
     let schema = table.schema();
@@ -753,8 +731,7 @@ fn sync_state(
             .grids
             .entry(part)
             .or_insert_with(|| DynamicAggGrid::new(0.0, channels));
-        let ratio = part_deltas.len() as f64 / size as f64;
-        if AggIndex::is_empty(grid) || ratio > rebuild_ratio {
+        if AggIndex::is_empty(grid) || rebuild {
             // Rebuild this partition from the new mirror.
             let rows: Vec<IndexRow> = new_mirror
                 .iter()
@@ -875,8 +852,8 @@ fn mat_minmax_removal_safe(entry: &MatEntry, chans: &[f64]) -> bool {
 /// on possibly-empty answers, NaN values, and ±0 ties whose folded bits
 /// could differ from a fresh recompute.
 fn mat_minmax_insert(entry: &mut MatEntry, chans: &[f64], minimize: &[bool]) -> bool {
-    for i in 0..entry.extrema.len() {
-        let Some(e) = entry.extrema[i] else {
+    for (i, slot) in entry.extrema.iter_mut().enumerate() {
+        let Some(e) = *slot else {
             return false;
         };
         let Some(&v) = chans.get(i) else {
@@ -887,7 +864,7 @@ fn mat_minmax_insert(entry: &mut MatEntry, chans: &[f64], minimize: &[bool]) -> 
         }
         let better = if minimize[i] { v < e } else { v > e };
         if better {
-            entry.extrema[i] = Some(v);
+            *slot = Some(v);
         } else if v == e && v.to_bits() != e.to_bits() {
             return false;
         }
@@ -1168,10 +1145,10 @@ fn fold_extremum(best: &mut Option<f64>, value: f64, minimize: bool) {
     });
 }
 
-/// The per-tick cache of index structures (the rebuild side of the policy
-/// spectrum), layered over the persistent [`IndexManager`] (the maintained
-/// side).  Structures are built lazily on first use and discarded when the
-/// tick's `TickIndexes` is dropped.
+/// The per-tick cache of index structures (the per-tick side of the
+/// maintenance spectrum), layered over the persistent [`IndexManager`] (the
+/// maintained side).  Structures are built lazily on first use and discarded
+/// when the tick's `TickIndexes` is dropped.
 pub struct TickIndexes<'a> {
     manager: &'a IndexManager,
     table: &'a EnvTable,
@@ -1230,11 +1207,7 @@ impl IndexManager {
         let Some(spatial) = config.spatial else {
             return Ok(None);
         };
-        if !self.synced
-            && (self.policy.is_dynamic()
-                || !self.dynamic.is_empty()
-                || !self.materialized.is_empty())
-        {
+        if !self.synced && (!self.dynamic.is_empty() || !self.materialized.is_empty()) {
             return Err(ExecError::Internal(
                 "tick_view on an unsynced manager (call prepare/end_tick first)".into(),
             ));
@@ -1336,10 +1309,9 @@ impl<'a> TickIndexes<'a> {
         Ok(self.part_sets.len() - 1)
     }
 
-    /// The maintained state for an aggregate, when the policy (or the
-    /// cost-based choice) keeps one.
+    /// The maintained state for an aggregate, when its choice keeps one.
     fn maintained(&self, plan: &PlannedAggregate) -> Option<&'a DynAggState> {
-        if plan_is_maintained(self.config.policy, plan) {
+        if plan_is_maintained(plan) {
             self.manager.state(&plan.def.name)
         } else {
             None
@@ -1527,18 +1499,25 @@ impl<'a> TickIndexes<'a> {
     }
 
     /// Open the per-run probe state of a call site.  `None` when the site
-    /// is answered by the caller's scan (a `Scan` strategy, or a cost-based
-    /// choice of `Scan`: identical results, no structure built).
-    pub(crate) fn open_site(&self, planned: &PlannedAggregate) -> Option<ProbeSite<'a>> {
-        let scan_chosen = planned
-            .choice
-            .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Scan);
-        if scan_chosen || !planned.is_indexed() {
-            return None;
+    /// is answered by the caller's scan (a `Scan` strategy or a `Scan`
+    /// choice: identical results, no structure built).  An indexable site
+    /// with no installed choice is a cost-based plan that was never priced
+    /// ([`crate::choose_physical`]) — an error, not a silent O(n²) scan.
+    pub(crate) fn open_site(&self, planned: &PlannedAggregate) -> Result<Option<ProbeSite<'a>>> {
+        if !planned.is_indexed() {
+            return Ok(None);
+        }
+        let Some(choice) = &planned.choice else {
+            return Err(ExecError::Config(format!(
+                "call site `{}` has no physical choice: price a cost-based plan before running it",
+                planned.def.name
+            )));
+        };
+        if choice.backend == PhysicalBackend::Scan {
+            return Ok(None);
         }
         let materialized = plan_is_materialized(planned);
-        Some(ProbeSite {
+        Ok(Some(ProbeSite {
             maintained: self.maintained(planned),
             materialized,
             mat_state: if materialized {
@@ -1549,7 +1528,7 @@ impl<'a> TickIndexes<'a> {
             matching: Vec::new(),
             per_tick: None,
             obs: CallObs::default(),
-        })
+        }))
     }
 
     /// Answer one probe of an open call site into `out` — the one probe
@@ -1860,7 +1839,7 @@ impl<'a> TickIndexes<'a> {
     }
 
     /// MIN/MAX aggregates: maintained grids answer them directly; under a
-    /// rebuild policy the sweep-line batch of Figure 9 answers them when the
+    /// per-tick choice the sweep-line batch of Figure 9 answers them when the
     /// probe rectangle is centred on the unit (the `u.pos ± range` pattern),
     /// and a per-partition quadtree answers the remaining shapes.
     fn eval_min_max(
@@ -1924,11 +1903,10 @@ impl<'a> TickIndexes<'a> {
         // quadtrees instead.
         let centred =
             (rect.x_min + rx - unit_x).abs() <= 1e-9 && (rect.y_min + ry - unit_y).abs() <= 1e-9;
-        // A cost-based choice of the quadtree skips the sweep batch even for
-        // centred probes (same results, different cost profile).  Misses of
-        // a materialized site take the quadtree too: on a low-churn tick only
-        // a few probes miss, and a whole-batch sweep would be priced for all
-        // of them.
+        // A quadtree choice skips the sweep batch even for centred probes
+        // (same results, different cost profile).  Misses of a materialized
+        // site take the quadtree too: on a low-churn tick only a few probes
+        // miss, and a whole-batch sweep would be priced for all of them.
         let quad_chosen = planned.choice.as_ref().is_some_and(|c| {
             matches!(
                 c.backend,
@@ -2062,10 +2040,10 @@ impl<'a> TickIndexes<'a> {
 mod tests {
     use super::*;
     use crate::builtin_eval::{bind_params, eval_aggregate_scan};
-    use crate::config::RebuildBackend;
-    use crate::planner::plan_aggregate;
+    use crate::config::PlannerMode;
+    use crate::planner::{forced_choice, plan_aggregate, strategy_class};
     use sgl_env::{schema::paper_schema, GameRng, Schema, TupleBuilder};
-    use sgl_lang::builtins::paper_registry;
+    use sgl_lang::builtins::{paper_registry, AggregateDef};
     use std::sync::Arc;
 
     /// The production tick-open sequence (what `execute_tick_planned`
@@ -2125,7 +2103,10 @@ mod tests {
             rect,
             required: &required,
         };
-        let mut site = cache.open_site(planned).expect("an indexed call site");
+        let mut site = cache
+            .open_site(planned)
+            .unwrap()
+            .expect("an indexed call site");
         let mut out = ScriptValue::Record(Vec::new());
         let probed = cache
             .probe(planned, &mut site, ctx.unit, ctx.unit_key, &args, &mut out)
@@ -2172,20 +2153,30 @@ mod tests {
         (schema, table)
     }
 
+    fn forced(schema: &Schema, backend: PhysicalBackend) -> ExecConfig {
+        ExecConfig::indexed(schema).with_planner(PlannerMode::Force(backend))
+    }
+
+    /// Plan one aggregate outside the registry with the choice a forced
+    /// `config` installs, as `plan_registry` does for registry aggregates.
+    fn plan_forced(def: &AggregateDef, schema: &Schema, config: &ExecConfig) -> PlannedAggregate {
+        let PlannerMode::Force(backend) = config.planner else {
+            panic!("a forced configuration");
+        };
+        let mut plan = plan_aggregate(def, schema, config.spatial);
+        plan.choice = strategy_class(&plan.strategy).map(|class| forced_choice(class, backend));
+        plan
+    }
+
     fn configs(schema: &Schema) -> Vec<(&'static str, ExecConfig)> {
-        let base = ExecConfig::indexed(schema);
-        vec![
-            ("rebuild/layered", base),
-            (
-                "rebuild/quadtree",
-                base.with_backend(RebuildBackend::QuadTree),
-            ),
-            (
-                "incremental",
-                base.with_policy(MaintenancePolicy::Incremental),
-            ),
-            ("adaptive", base.with_policy(MaintenancePolicy::adaptive())),
+        [
+            PhysicalBackend::LayeredTree,
+            PhysicalBackend::QuadTree,
+            PhysicalBackend::MaintainedGrid,
         ]
+        .into_iter()
+        .map(|backend| (backend.label(), forced(schema, backend)))
+        .collect()
     }
 
     #[test]
@@ -2204,7 +2195,7 @@ mod tests {
                 "getNearestEnemy",
             ] {
                 let def = registry.aggregate(agg_name).unwrap();
-                let planned = plan_aggregate(def, &schema, config.spatial);
+                let planned = &planned_map[agg_name];
                 assert_ne!(
                     planned.strategy,
                     AggStrategy::Scan,
@@ -2220,7 +2211,7 @@ mod tests {
                         vec![ScriptValue::scalar(0i64)]
                     };
                     ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
-                    let fast = probe_unit(&mut cache, &planned, &ctx);
+                    let fast = probe_unit(&mut cache, planned, &ctx);
                     let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
                     match agg_name {
                         "CountEnemiesInRange" => {
@@ -2266,7 +2257,7 @@ mod tests {
                     cache.stats.indexes_built
                 );
                 assert_eq!(cache.stats.index_probes, table.len(), "{label}");
-                if config.policy.is_dynamic() {
+                if plan_is_maintained(planned) {
                     assert_eq!(cache.stats.maintained_probes, table.len(), "{label}");
                 }
             }
@@ -2276,7 +2267,7 @@ mod tests {
     #[test]
     fn sweep_min_aggregate_agrees_with_scan() {
         use sgl_lang::ast::{Cond, Term};
-        use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput, AggregateDef};
+        use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput};
 
         let (schema, table) = make_table(80);
         let registry = paper_registry();
@@ -2296,7 +2287,7 @@ mod tests {
             },
         };
         for (label, config) in configs(&schema) {
-            let planned = plan_aggregate(&def, &schema, config.spatial);
+            let planned = plan_forced(&def, &schema, &config);
             assert_eq!(planned.strategy, AggStrategy::SweepMinMax);
             // The custom aggregate is not in the registry; register its plan
             // directly for the maintenance pass.
@@ -2317,7 +2308,7 @@ mod tests {
                     "{label} row {row}"
                 );
             }
-            // One sweep per player value under the rebuild policy — two
+            // One sweep per player value under a per-tick choice — two
             // structures for the whole batch; maintained grids need none.
             assert!(cache.stats.indexes_built <= 2, "{label}");
         }
@@ -2348,7 +2339,7 @@ mod tests {
         let (schema, mut table) = make_table(100);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
+        let config = forced(&schema, PhysicalBackend::MaintainedGrid);
         let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
 
@@ -2374,7 +2365,7 @@ mod tests {
         // And the maintained probes agree with a scan afterwards.
         let rng = GameRng::new(1).for_tick(1);
         let def = registry.aggregate("CountEnemiesInRange").unwrap();
-        let planned = plan_aggregate(def, &schema, config.spatial);
+        let planned = planned_map["CountEnemiesInRange"].clone();
         let mut cache = open_tick(&mut manager, &table, &config, &planned_map, &constants);
         for row in 0..table.len() {
             let unit = table.row(row);
@@ -2396,36 +2387,66 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_maintenance_rebuilds_hot_partitions() {
+    fn rebuild_choice_rebuilds_touched_partitions() {
         let (schema, mut table) = make_table(60);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema)
-            .with_policy(MaintenancePolicy::Adaptive { rebuild_ratio: 0.3 });
-        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
+        let config = forced(&schema, PhysicalBackend::MaintainedGrid);
+        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
+        // The cost model's `Rebuild` maintenance: the maintained grid is
+        // rebuilt wholesale instead of patched.
+        for plan in planned_map.values_mut() {
+            if let Some(choice) = plan.choice.as_mut() {
+                choice.maintenance = MaintenanceChoice::Rebuild;
+            }
+        }
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
 
-        // Move nearly every unit: the update ratio exceeds the threshold and
-        // partitions are rebuilt wholesale.
+        // Move two units: every partition they touch is rebuilt, none is
+        // patched.
         let posx = schema.attr_id("posx").unwrap();
-        for row in 0..table.len() {
-            let new_x = table.row(row).get_f64(posx).unwrap() * 0.5 + 1.0;
-            table.set_attr(row, posx, Value::Float(new_x)).unwrap();
-        }
-        let heavy = manager.end_tick(&table, &planned_map, &constants).unwrap();
-        assert!(heavy.partition_rebuilds > 0);
-        assert_eq!(heavy.delta_ops, 0);
-
-        // Move two units: now the ratio is below the threshold and the
-        // partitions are patched.
         for row in 0..2 {
             let new_x = table.row(row).get_f64(posx).unwrap() + 0.5;
             table.set_attr(row, posx, Value::Float(new_x)).unwrap();
         }
-        let light = manager.end_tick(&table, &planned_map, &constants).unwrap();
-        assert_eq!(light.partition_rebuilds, 0);
-        assert!(light.delta_ops > 0);
+        let rebuilt = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert!(rebuilt.partition_rebuilds > 0);
+        assert_eq!(rebuilt.delta_ops, 0);
+
+        // Back to `Incremental`: the same kind of move is patched.
+        for plan in planned_map.values_mut() {
+            if let Some(choice) = plan.choice.as_mut() {
+                choice.maintenance = MaintenanceChoice::Incremental;
+            }
+        }
+        for row in 0..2 {
+            let new_x = table.row(row).get_f64(posx).unwrap() + 0.5;
+            table.set_attr(row, posx, Value::Float(new_x)).unwrap();
+        }
+        let patched = manager.end_tick(&table, &planned_map, &constants).unwrap();
+        assert_eq!(patched.partition_rebuilds, 0);
+        assert!(patched.delta_ops > 0);
+
+        // Either way the grids answer like a scan.
+        let rng = GameRng::new(1).for_tick(1);
+        let def = registry.aggregate("CountEnemiesInRange").unwrap();
+        let planned = planned_map["CountEnemiesInRange"].clone();
+        let mut cache = open_tick(&mut manager, &table, &config, &planned_map, &constants);
+        for row in 0..table.len() {
+            let unit = table.row(row);
+            let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
+            let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(12.0)];
+            ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
+            let fast = probe_unit(&mut cache, &planned, &ctx);
+            let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
+            assert_eq!(
+                fast.as_scalar().unwrap(),
+                slow.as_scalar().unwrap(),
+                "row {row}"
+            );
+        }
+        assert_eq!(cache.stats.maintained_probes, table.len());
     }
 
     #[test]
@@ -2433,7 +2454,7 @@ mod tests {
         let (schema, table) = make_table(30);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental);
+        let config = forced(&schema, PhysicalBackend::MaintainedGrid);
         let planned_map = crate::tick::plan_registry(&registry, &table, &config);
         let mut manager = IndexManager::new(&config);
         manager.end_tick(&table, &planned_map, &constants).unwrap();
@@ -2477,11 +2498,9 @@ mod tests {
         let (schema, mut table) = make_table(90);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
+        let config = forced(&schema, PhysicalBackend::Materialized);
         let rng = GameRng::new(7).for_tick(3);
-        let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
-        let switched = crate::planner::force_materialized(&mut planned_map);
-        assert!(switched > 0, "registry has materializable sites");
+        let planned_map = crate::tick::plan_registry(&registry, &table, &config);
 
         // CountEnemiesInRange (COUNT patch class) and CentroidOfEnemyUnits
         // (replace class) both carry a Materialized choice now.
@@ -2527,20 +2546,20 @@ mod tests {
             );
             assert!(serves > 0, "{agg_name}: store must serve after churn");
             let def = registry.aggregate(agg_name).unwrap();
-            for row in 0..table.len() {
+            for (row, fast) in fast.iter().enumerate() {
                 let unit = table.row(row);
                 let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
                 ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
                 let slow = eval_aggregate_scan(def, &ctx.bindings, &ctx, &table).unwrap();
                 match agg_name {
                     "CountEnemiesInRange" => assert_eq!(
-                        fast[row].as_scalar().unwrap(),
+                        fast.as_scalar().unwrap(),
                         slow.as_scalar().unwrap(),
                         "{agg_name} row {row}"
                     ),
                     _ => {
                         for field in ["x", "y"] {
-                            let f = fast[row].field(field).unwrap().as_f64().unwrap();
+                            let f = fast.field(field).unwrap().as_f64().unwrap();
                             let s = slow.field(field).unwrap().as_f64().unwrap();
                             assert!(
                                 (f - s).abs() < 1e-9,
@@ -2556,12 +2575,12 @@ mod tests {
     #[test]
     fn materialized_min_patches_inserts_and_invalidates_extremum_loss() {
         use sgl_lang::ast::{Cond, Term};
-        use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput, AggregateDef};
+        use sgl_lang::builtins::{enemy_filter, rect_range_filter, AggOutput};
 
         let (schema, mut table) = make_table(60);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
+        let config = forced(&schema, PhysicalBackend::Materialized);
         let def = AggregateDef {
             name: "WeakestEnemyHealth".into(),
             params: vec!["u".into(), "range".into()],
@@ -2575,12 +2594,11 @@ mod tests {
                 }],
             },
         };
-        let mut planned = plan_aggregate(&def, &schema, config.spatial);
+        let planned = plan_forced(&def, &schema, &config);
         assert_eq!(planned.strategy, AggStrategy::SweepMinMax);
+        assert!(plan_is_materialized(&planned));
         let mut planned_map: FxHashMap<String, PlannedAggregate> = FxHashMap::default();
         planned_map.insert(def.name.clone(), planned.clone());
-        assert_eq!(crate::planner::force_materialized(&mut planned_map), 1);
-        planned = planned_map.get(&def.name).unwrap().clone();
         let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(12.0)];
 
         let mut manager = IndexManager::new(&config);
@@ -2618,13 +2636,13 @@ mod tests {
         );
         assert!(serves > 0);
         let rng = GameRng::new(7).for_tick(3);
-        for row in 0..table.len() {
+        for (row, fast) in fast.iter().enumerate() {
             let unit = table.row(row);
             let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
             let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
             assert_eq!(
-                fast[row].field("value").unwrap().as_f64().unwrap(),
+                fast.field("value").unwrap().as_f64().unwrap(),
                 slow.field("value").unwrap().as_f64().unwrap(),
                 "row {row}"
             );
@@ -2644,13 +2662,13 @@ mod tests {
             &planned,
             &args,
         );
-        for row in 0..table.len() {
+        for (row, fast) in fast.iter().enumerate() {
             let unit = table.row(row);
             let mut ctx = EvalContext::new(&schema, unit, &rng, &constants);
             ctx.bindings = bind_params(&def.name, &def.params, &args).unwrap();
             let slow = eval_aggregate_scan(&def, &ctx.bindings, &ctx, &table).unwrap();
             assert_eq!(
-                fast[row].field("value").unwrap().as_f64().unwrap(),
+                fast.field("value").unwrap().as_f64().unwrap(),
                 slow.field("value").unwrap().as_f64().unwrap(),
                 "row {row}"
             );
@@ -2662,9 +2680,8 @@ mod tests {
         let (schema, table) = make_table(40);
         let registry = paper_registry();
         let constants = registry.constants().clone();
-        let config = ExecConfig::indexed(&schema);
+        let config = forced(&schema, PhysicalBackend::Materialized);
         let mut planned_map = crate::tick::plan_registry(&registry, &table, &config);
-        crate::planner::force_materialized(&mut planned_map);
         let planned = planned_map.get("CountEnemiesInRange").unwrap().clone();
         let args = vec![ScriptValue::scalar(0i64), ScriptValue::scalar(15.0)];
         let mut manager = IndexManager::new(&config);
@@ -2679,10 +2696,11 @@ mod tests {
         );
         assert!(manager.materialized_sites() > 0);
 
-        // Drop the choices (back to the heuristic): the next maintenance
-        // pass retires the stores.
+        // Re-plan onto per-tick backends: the next maintenance pass retires
+        // the stores.
         for plan in planned_map.values_mut() {
-            plan.choice = None;
+            plan.choice = strategy_class(&plan.strategy)
+                .map(|class| forced_choice(class, PhysicalBackend::LayeredTree));
         }
         manager.mark_stale();
         manager.prepare(&table, &planned_map, &constants).unwrap();

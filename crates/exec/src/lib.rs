@@ -8,9 +8,11 @@
 //! `O(log n)` from the index structures of `sgl-index` (layered aggregate
 //! range trees, quadtrees, kD-trees, sweep-lines and maintained grids behind
 //! a categorical hash layer).  The [`oracle`] interpreter walks the script
-//! AST instead and is the differential reference for both.  Whether those structures are rebuilt per tick or maintained
-//! across ticks is decided by the [`MaintenancePolicy`] carried in
-//! [`ExecConfig`] and enforced by the cross-tick [`IndexManager`].
+//! AST instead and is the differential reference for both.  Which structure
+//! answers each aggregate call site, and whether it is rebuilt per tick or
+//! maintained across ticks, is the [`PhysicalChoice`] the [`PlannerMode`]
+//! of the [`ExecConfig`] installs; the cross-tick [`IndexManager`] keeps the
+//! maintained ones in sync.
 //!
 //! Main entry points: [`execute_tick`] (throwaway manager) and
 //! [`execute_tick_with`] (caller-owned manager, used by the engine).
@@ -34,16 +36,17 @@ pub(crate) mod vm;
 pub use closed::ClosedProgram;
 pub use compile::{compile_script, CompileError, CompiledScript};
 pub use config::{
-    AdaptiveWindow, ExecConfig, ExecMode, MaintenancePolicy, Parallelism, PlannerMode,
-    RebuildBackend, SpatialAttrs, TickStats,
+    AdaptiveWindow, ExecConfig, ExecMode, Parallelism, PlannerMode, SpatialAttrs, TickStats,
 };
 pub use error::{ExecError, Result};
 pub use filter::{analyze_filter, FilterAnalysis};
 pub use indexes::{fingerprint_values, IndexManager, MaintStats, TickIndexes};
 pub use oracle::{execute_tick_oracle, OracleRun};
 pub use planner::{
-    choose_physical, force_materialized, plan_aggregate, strategy_class, AggStrategy,
-    PhysicalChoice, PlannedAggregate,
+    choose_physical, forced_choice, plan_aggregate, strategy_class, AggStrategy, PhysicalChoice,
+    PlannedAggregate,
 };
+/// The backend vocabulary of [`PlannerMode::Force`] and [`PhysicalChoice`].
+pub use sgl_algebra::cost::PhysicalBackend;
 pub use stats::{CallObs, CallSiteStats, RuntimeStats, TickObservations, BACKEND_COUNT};
 pub use tick::{execute_tick, execute_tick_planned, execute_tick_with, plan_registry, ScriptRun};

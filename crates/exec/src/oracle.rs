@@ -351,7 +351,7 @@ mod tests {
                 oracle_effects.canonical(),
                 effects.canonical(),
                 "{:?} diverged from the oracle",
-                config.mode
+                config.planner
             );
             assert_eq!(oracle_stats.acting_units, stats.acting_units);
         }

@@ -9,6 +9,12 @@
 //! | `SweepMinMax` | MIN/MAX outputs over a full rectangle | sweep-line + segment tree (constant range size per batch) |
 //! | `KdNearest` | argmin of squared distance | kD-tree per categorical partition |
 //! | `Scan` | anything else | per-unit scan (identical to the naive executor) |
+//!
+//! The strategy fixes the site's [`StrategyClass`]; which physical backend
+//! of that class answers the site is the [`PhysicalChoice`] installed by the
+//! configured [`PlannerMode`](crate::PlannerMode): [`forced_choice`] at
+//! planning time ([`crate::plan_registry`]), or the cost-based planner's
+//! [`choose_physical`] at every re-costing window.
 
 use rustc_hash::FxHashMap;
 
@@ -21,7 +27,7 @@ use sgl_index::traits::AggStructureKind;
 use sgl_lang::ast::Term;
 use sgl_lang::builtins::{AggSpec, AggregateDef, SimpleAgg};
 
-use crate::config::{ExecConfig, RebuildBackend, SpatialAttrs};
+use crate::config::{ExecConfig, SpatialAttrs};
 use crate::filter::{analyze_filter, FilterAnalysis};
 use crate::stats::RuntimeStats;
 
@@ -44,10 +50,9 @@ pub enum AggStrategy {
     Scan,
 }
 
-/// The cost-based planner's decision for one call site: the chosen physical
-/// backend and maintenance, the modeled cost, and every priced alternative
-/// (kept for `explain`).  `None` on a [`PlannedAggregate`] means the
-/// heuristic mapping applies (policy/backend from the configuration).
+/// The physical decision for one call site: the chosen backend and
+/// maintenance, the modeled cost, and every priced alternative (kept for
+/// `explain`; empty for a forced choice).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalChoice {
     /// The structure that answers this call site.
@@ -69,61 +74,33 @@ pub struct PlannedAggregate {
     pub analysis: FilterAnalysis,
     /// Chosen strategy.
     pub strategy: AggStrategy,
-    /// Cost-based physical choice; `None` under the heuristic planner.
+    /// Installed physical choice.  `None` for scan strategies, and for
+    /// indexable sites only until the cost-based planner's first pricing
+    /// pass; a site without a choice is answered by the scan.
     pub choice: Option<PhysicalChoice>,
 }
 
 impl PlannedAggregate {
-    /// Select the concrete structure backing this aggregate under the given
-    /// executor configuration — the physical half of the plan, separated
-    /// from the strategy so one logical plan runs under every
-    /// [`crate::config::MaintenancePolicy`] / [`RebuildBackend`] combination:
-    ///
-    /// * dynamic policies route every indexable aggregate to the maintained
-    ///   [`AggStructureKind::DynamicGrid`];
-    /// * rebuild policies pick the configured per-tick structure for
-    ///   divisible aggregates, and a quadtree for MIN/MAX aggregates whose
-    ///   probe rectangle is not centred on the unit (where the sweep-line
-    ///   batch of Figure 9 does not apply);
-    /// * `KdNearest` and `Scan` return `None` (kD-trees and scans are not
-    ///   aggregate-accumulator structures).
+    /// The per-tick aggregate structure behind the installed choice: the
+    /// physical half of the plan, separated from the strategy so one logical
+    /// plan runs under every backend.  `None` for scans, kD-trees (not an
+    /// aggregate-accumulator structure) and sites without a choice.
+    /// `Sweep` keeps a quadtree for the probes the sweep batch cannot serve
+    /// (rectangles not centred on the unit).
     pub fn structure(&self, config: &ExecConfig) -> Option<AggStructureKind> {
-        if let Some(choice) = &self.choice {
-            // Cost-based: the choice names the structure directly.
-            return match choice.backend {
-                PhysicalBackend::Scan | PhysicalBackend::KdTree => None,
-                PhysicalBackend::LayeredTree => Some(AggStructureKind::LayeredTree {
-                    cascading: config.cascading,
-                }),
-                // `Sweep` keeps the quadtree as its fallback structure for
-                // probes the sweep batch cannot serve (non-centred rects).
-                PhysicalBackend::QuadTree | PhysicalBackend::Sweep => {
-                    Some(AggStructureKind::QuadTree { bucket: 8 })
-                }
-                PhysicalBackend::MaintainedGrid => {
-                    Some(AggStructureKind::DynamicGrid { cell: 0.0 })
-                }
-                // Materialized answers recompute through a per-tick quadtree
-                // on a miss; it is only built on ticks that actually miss, so
-                // the cheap-build structure wins over the layered tree here.
-                PhysicalBackend::Materialized => Some(AggStructureKind::QuadTree { bucket: 8 }),
-            };
-        }
-        match &self.strategy {
-            AggStrategy::Scan | AggStrategy::KdNearest => None,
-            AggStrategy::DivisibleTree { .. } | AggStrategy::SweepMinMax
-                if config.policy.is_dynamic() =>
-            {
-                Some(AggStructureKind::DynamicGrid { cell: 0.0 })
-            }
-            AggStrategy::DivisibleTree { .. } => Some(match config.backend {
-                RebuildBackend::LayeredTree => AggStructureKind::LayeredTree {
-                    cascading: config.cascading,
-                },
-                RebuildBackend::QuadTree => AggStructureKind::QuadTree { bucket: 8 },
+        match self.choice.as_ref()?.backend {
+            PhysicalBackend::Scan | PhysicalBackend::KdTree => None,
+            PhysicalBackend::LayeredTree => Some(AggStructureKind::LayeredTree {
+                cascading: config.cascading,
             }),
-            // Fallback structure for sweep-ineligible probes.
-            AggStrategy::SweepMinMax => Some(AggStructureKind::QuadTree { bucket: 8 }),
+            PhysicalBackend::QuadTree | PhysicalBackend::Sweep => {
+                Some(AggStructureKind::QuadTree { bucket: 8 })
+            }
+            PhysicalBackend::MaintainedGrid => Some(AggStructureKind::DynamicGrid { cell: 0.0 }),
+            // Materialized answers recompute through a per-tick quadtree on a
+            // miss; it is only built on ticks that actually miss, so the
+            // cheap-build structure wins over the layered tree here.
+            PhysicalBackend::Materialized => Some(AggStructureKind::QuadTree { bucket: 8 }),
         }
     }
 
@@ -262,44 +239,34 @@ pub fn choose_physical(
     switches
 }
 
-/// Whether the materialized-answer class is legal for a strategy class:
-/// divisible and MIN/MAX answers are pure functions of the matched multiset
-/// (which the delta stream tracks), while nearest/argbest answers embed
-/// arbitrary output terms of the winning row that can change without any
-/// tracked delta.
-pub fn materialization_legal(class: StrategyClass) -> bool {
-    matches!(class, StrategyClass::Divisible | StrategyClass::MinMax)
-}
-
-/// Install the materialized-answer class on every call site where it is
-/// legal, regardless of cost ([`crate::config::PlannerMode::ForceMaterialized`]).
-/// Nearest sites and scans keep their heuristic plan (`choice = None`).
-/// Returns how many call sites changed choice.
-pub fn force_materialized(planned: &mut FxHashMap<String, PlannedAggregate>) -> usize {
-    let mut switches = 0;
-    for plan in planned.values_mut() {
-        let legal = strategy_class(&plan.strategy).is_some_and(materialization_legal);
-        if !legal {
-            if plan.choice.take().is_some() {
-                switches += 1;
-            }
-            continue;
+/// The choice `Force(backend)` ([`crate::PlannerMode::Force`]) installs on
+/// a site of `class` — one fixed rule for every backend:
+///
+/// * the site gets `backend` when its class prices it
+///   ([`StrategyClass::alternatives`]), and the paper's structure for the
+///   class ([`StrategyClass::paper_backend`]) otherwise — so
+///   `Force(LayeredTree)`, `Force(Sweep)` and `Force(KdTree)` all install the
+///   paper's plan, and nearest sites are never materialized;
+/// * maintained grids and materialized answers are patched incrementally;
+///   every other backend is rebuilt per tick.
+pub fn forced_choice(class: StrategyClass, backend: PhysicalBackend) -> PhysicalChoice {
+    let backend = if class.alternatives().contains(&backend) {
+        backend
+    } else {
+        class.paper_backend()
+    };
+    let maintenance = match backend {
+        PhysicalBackend::MaintainedGrid | PhysicalBackend::Materialized => {
+            MaintenanceChoice::Incremental
         }
-        let already = plan
-            .choice
-            .as_ref()
-            .is_some_and(|c| c.backend == PhysicalBackend::Materialized);
-        if !already {
-            switches += 1;
-        }
-        plan.choice = Some(PhysicalChoice {
-            backend: PhysicalBackend::Materialized,
-            maintenance: MaintenanceChoice::Incremental,
-            est_us: 0.0,
-            alternatives: Vec::new(),
-        });
+        _ => MaintenanceChoice::PerTick,
+    };
+    PhysicalChoice {
+        backend,
+        maintenance,
+        est_us: 0.0,
+        alternatives: Vec::new(),
     }
-    switches
 }
 
 fn choose_strategy(
@@ -441,20 +408,7 @@ mod tests {
     #[test]
     fn min_aggregate_over_a_rect_uses_the_sweep_line() {
         let schema = paper_schema();
-        let def = AggregateDef {
-            name: "WeakestEnemyHealth".into(),
-            params: vec!["u".into(), "range".into()],
-            filter: Cond::and(rect_range_filter(Term::name("range")), enemy_filter()),
-            spec: AggSpec::Simple {
-                outputs: vec![AggOutput {
-                    name: "value".into(),
-                    func: SimpleAgg::Min,
-                    value: Term::row("health"),
-                    default: Value::Float(f64::INFINITY),
-                }],
-            },
-        };
-        let plan = plan_aggregate(&def, &schema, spatial(&schema));
+        let plan = plan_aggregate(&weakest_enemy_health(), &schema, spatial(&schema));
         assert_eq!(plan.strategy, AggStrategy::SweepMinMax);
     }
 
@@ -536,46 +490,38 @@ mod tests {
 
     #[test]
     fn structure_selection_follows_policy_and_backend() {
-        use crate::config::ExecConfig;
+        use crate::config::PlannerMode;
+        use sgl_env::EnvTable;
         use sgl_index::traits::AggStructureKind;
-        let schema = paper_schema();
+        let schema = paper_schema().into_shared();
+        let table = EnvTable::new(schema.clone());
         let registry = paper_registry();
-        let count = plan_aggregate(
-            registry.aggregate("CountEnemiesInRange").unwrap(),
-            &schema,
-            spatial(&schema),
-        );
-        let nearest = plan_aggregate(
-            registry.aggregate("getNearestEnemy").unwrap(),
-            &schema,
-            spatial(&schema),
-        );
-
-        let rebuild = ExecConfig::indexed(&schema);
+        let plan = |config: &ExecConfig, name: &str| {
+            crate::tick::plan_registry(&registry, &table, config)[name].clone()
+        };
+        let indexed = ExecConfig::indexed(&schema);
+        let count = plan(&indexed, "CountEnemiesInRange");
         assert_eq!(
-            count.structure(&rebuild),
+            count.structure(&indexed),
             Some(AggStructureKind::LayeredTree { cascading: true })
         );
-        let quad = rebuild.with_backend(crate::config::RebuildBackend::QuadTree);
+        let quad = indexed.with_planner(PlannerMode::Force(PhysicalBackend::QuadTree));
         assert_eq!(
-            count.structure(&quad),
+            plan(&quad, "CountEnemiesInRange").structure(&quad),
             Some(AggStructureKind::QuadTree { bucket: 8 })
         );
-        let incremental = rebuild.with_policy(crate::config::MaintenancePolicy::Incremental);
+        let grid = indexed.with_planner(PlannerMode::Force(PhysicalBackend::MaintainedGrid));
         assert_eq!(
-            count.structure(&incremental),
+            plan(&grid, "CountEnemiesInRange").structure(&grid),
             Some(AggStructureKind::DynamicGrid { cell: 0.0 })
         );
-        assert_eq!(nearest.structure(&rebuild), None);
+        assert_eq!(plan(&indexed, "getNearestEnemy").structure(&indexed), None);
         assert!(count.is_indexed());
         assert!(count.channel_terms().is_empty());
-
-        let centroid = plan_aggregate(
-            registry.aggregate("CentroidOfEnemyUnits").unwrap(),
-            &schema,
-            spatial(&schema),
+        assert_eq!(
+            plan(&indexed, "CentroidOfEnemyUnits").channel_terms().len(),
+            2
         );
-        assert_eq!(centroid.channel_terms().len(), 2);
     }
 
     #[test]
@@ -720,37 +666,128 @@ mod tests {
         );
     }
 
+    /// A MIN aggregate over a rectangle: the strategy class the paper
+    /// registry lacks and the battle registry has.
+    fn weakest_enemy_health() -> AggregateDef {
+        AggregateDef {
+            name: "WeakestEnemyHealth".into(),
+            params: vec!["u".into(), "range".into()],
+            filter: Cond::and(rect_range_filter(Term::name("range")), enemy_filter()),
+            spec: AggSpec::Simple {
+                outputs: vec![AggOutput {
+                    name: "value".into(),
+                    func: SimpleAgg::Min,
+                    value: Term::row("health"),
+                    default: Value::Float(f64::INFINITY),
+                }],
+            },
+        }
+    }
+
     #[test]
-    fn force_materialized_targets_legal_sites_only() {
-        let schema = paper_schema();
-        let registry = paper_registry();
-        let mut planned = FxHashMap::default();
-        for name in registry.aggregate_names() {
-            let def = registry.aggregate(name).unwrap();
-            planned.insert(
-                name.to_string(),
-                plan_aggregate(def, &schema, spatial(&schema)),
+    fn forced_plans_follow_one_rule_for_every_backend() {
+        use crate::config::PlannerMode;
+        use sgl_env::EnvTable;
+        use MaintenanceChoice::{Incremental, PerTick};
+        use PhysicalBackend::*;
+
+        let schema = paper_schema().into_shared();
+        let table = EnvTable::new(schema.clone());
+        let mut registry = paper_registry();
+        registry.register_aggregate(weakest_enemy_health());
+        let classes = [
+            StrategyClass::Divisible,
+            StrategyClass::MinMax,
+            StrategyClass::Nearest,
+        ];
+        // The installed (backend, maintenance) of every forced backend, per
+        // class in the order of `classes`.
+        let expected = [
+            (Scan, [(Scan, PerTick), (Scan, PerTick), (Scan, PerTick)]),
+            (
+                LayeredTree,
+                [(LayeredTree, PerTick), (Sweep, PerTick), (KdTree, PerTick)],
+            ),
+            (
+                QuadTree,
+                [(QuadTree, PerTick), (QuadTree, PerTick), (KdTree, PerTick)],
+            ),
+            (MaintainedGrid, [(MaintainedGrid, Incremental); 3]),
+            (
+                Sweep,
+                [(LayeredTree, PerTick), (Sweep, PerTick), (KdTree, PerTick)],
+            ),
+            (
+                KdTree,
+                [(LayeredTree, PerTick), (Sweep, PerTick), (KdTree, PerTick)],
+            ),
+            (
+                Materialized,
+                [
+                    (Materialized, Incremental),
+                    (Materialized, Incremental),
+                    (KdTree, PerTick),
+                ],
+            ),
+        ];
+        assert_eq!(expected.map(|(b, _)| b), PhysicalBackend::ALL);
+
+        let plan_under = |backend| {
+            let config = ExecConfig::indexed(&schema).with_planner(PlannerMode::Force(backend));
+            crate::tick::plan_registry(&registry, &table, &config)
+        };
+        for (forced, per_class) in expected {
+            let planned = plan_under(forced);
+            let mut seen = [false; 3];
+            for plan in planned.values() {
+                let Some(class) = strategy_class(&plan.strategy) else {
+                    assert_eq!(
+                        plan.choice, None,
+                        "{}: scan sites keep no choice",
+                        plan.def.name
+                    );
+                    continue;
+                };
+                let i = classes.iter().position(|c| *c == class).unwrap();
+                seen[i] = true;
+                let choice = plan
+                    .choice
+                    .as_ref()
+                    .expect("every indexable site is planned");
+                assert_eq!(
+                    (choice.backend, choice.maintenance),
+                    per_class[i],
+                    "Force({forced:?}) on {}",
+                    plan.def.name
+                );
+                if class == StrategyClass::Nearest {
+                    assert_ne!(
+                        choice.backend, Materialized,
+                        "nearest is never materialized"
+                    );
+                }
+            }
+            assert_eq!(seen, [true; 3], "every class is exercised");
+        }
+
+        // The paper's plan is one plan, whichever of its backends is forced.
+        let paper = plan_under(LayeredTree);
+        assert_eq!(plan_under(Sweep), paper);
+        assert_eq!(plan_under(KdTree), paper);
+
+        // The indexed preset reports the labels of the paper's structures.
+        let indexed = crate::tick::plan_registry(&registry, &table, &ExecConfig::indexed(&schema));
+        for (name, label) in [
+            ("CountEnemiesInRange", "layered-tree"),
+            ("WeakestEnemyHealth", "sweep"),
+            ("getNearestEnemy", "kd-tree"),
+        ] {
+            let choice = indexed[name].choice.as_ref().unwrap();
+            assert_eq!(
+                (choice.backend.label(), choice.maintenance.label()),
+                (label, "per-tick")
             );
         }
-        let switches = force_materialized(&mut planned);
-        let legal = planned
-            .values()
-            .filter(|p| strategy_class(&p.strategy).is_some_and(materialization_legal))
-            .count();
-        assert!(legal > 0);
-        assert_eq!(switches, legal);
-        for plan in planned.values() {
-            match strategy_class(&plan.strategy) {
-                Some(class) if materialization_legal(class) => {
-                    let choice = plan.choice.as_ref().unwrap();
-                    assert_eq!(choice.backend, PhysicalBackend::Materialized);
-                    assert_eq!(choice.maintenance, MaintenanceChoice::Incremental);
-                }
-                _ => assert!(plan.choice.is_none(), "{}", plan.def.name),
-            }
-        }
-        // Idempotent: a second pass switches nothing.
-        assert_eq!(force_materialized(&mut planned), 0);
     }
 
     #[test]

@@ -189,9 +189,10 @@ pub struct CallSiteStats {
     /// from `probes > 0.0`: an idle site decays toward zero without ever
     /// reaching it, and pricing that vanishing-but-positive volume as
     /// "observed" skewed early cost decisions after idle windows.  The decay
-    /// loop snaps the flag off below [`PROBE_FLOOR`] so a long-idle site is
-    /// priced from priors again, and the next real observation re-seeds the
-    /// EWMA at full volume instead of crawling up by halves.
+    /// loop snaps the flag off below `PROBE_FLOOR` (half a probe per tick)
+    /// so a long-idle site is priced from priors again, and the next real
+    /// observation re-seeds the EWMA at full volume instead of crawling up
+    /// by halves.
     pub have_probes: bool,
     /// EWMA of observed selectivity (matched rows / cardinality per probe).
     pub selectivity: f64,

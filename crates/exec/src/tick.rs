@@ -5,13 +5,12 @@
 //! Both strategies of §6 run here, on the same bytecode; they differ only in
 //! whether the shard gets an index view:
 //!
-//! * **naive** ([`ExecMode::Naive`](crate::ExecMode::Naive)) — no view:
-//!   every aggregate probe takes the reference scan and every perform clause
-//!   tests every row (`O(n)` per unit, `O(n²)` per tick);
-//! * **indexed** ([`ExecMode::Compiled`](crate::ExecMode::Compiled)) —
-//!   aggregates are answered from the per-tick [`TickIndexes`] cache and
-//!   targeted/area action clauses resolve through key look-ups and
-//!   enumeration indexes (§5.3/§5.4).
+//! * **naive** ([`ExecConfig::naive`], `Force(Scan)`) — no view: every
+//!   aggregate probe takes the reference scan and every area-of-effect
+//!   clause tests every row (`O(n)` per unit, `O(n²)` per tick);
+//! * **indexed** (every other planner) — aggregates are answered from the
+//!   per-tick [`TickIndexes`] cache and targeted/area action clauses resolve
+//!   through key look-ups and enumeration indexes (§5.3/§5.4).
 //!
 //! Either strategy can fan the acting units out over worker threads
 //! ([`crate::config::Parallelism`]).  The state-effect pattern makes this a
@@ -33,10 +32,10 @@ use sgl_env::{AttrId, EffectBuffer, EnvTable, TickRandom, Value};
 use sgl_lang::builtins::Registry;
 
 use crate::compile::CompiledScript;
-use crate::config::{ExecConfig, TickStats};
+use crate::config::{ExecConfig, PlannerMode, TickStats};
 use crate::error::{ExecError, Result};
 use crate::indexes::{IndexManager, MatWrite, TickIndexes};
-use crate::planner::{plan_aggregate, PlannedAggregate};
+use crate::planner::{forced_choice, plan_aggregate, strategy_class, PlannedAggregate};
 use crate::stats::TickObservations;
 
 /// One script to run in a tick: its optimized plan and register bytecode
@@ -71,10 +70,10 @@ impl<'p> ScriptRun<'p> {
     }
 }
 
-/// Execute one clock tick with a throwaway [`IndexManager`] (every index is
-/// rebuilt, regardless of the configured policy — callers that want
-/// cross-tick maintenance keep a manager alive and use
-/// [`execute_tick_with`], as `sgl_engine::Simulation` does).
+/// Execute one clock tick with a throwaway [`IndexManager`] (maintained
+/// structures are built from scratch — callers that want cross-tick
+/// maintenance keep a manager alive and use [`execute_tick_with`], as
+/// `sgl_engine::Simulation` does).
 pub fn execute_tick(
     table: &EnvTable,
     registry: &Registry,
@@ -86,26 +85,39 @@ pub fn execute_tick(
     execute_tick_with(table, registry, runs, rng, config, &mut manager)
 }
 
-/// Plan every registry aggregate once (index selection is per-definition).
+/// Plan every registry aggregate once (index selection is per-definition)
+/// and install the choices the configuration fixes: under
+/// [`PlannerMode::Force`] every indexable site gets its [`forced_choice`];
+/// under the cost-based planner the engine's first pricing pass installs
+/// them.
 pub fn plan_registry(
     registry: &Registry,
     table: &EnvTable,
     config: &ExecConfig,
 ) -> FxHashMap<String, PlannedAggregate> {
     let schema = table.schema();
+    let forced = match config.planner {
+        PlannerMode::Force(backend) => Some(backend),
+        PlannerMode::CostBased(_) => None,
+    };
     let mut planned: FxHashMap<String, PlannedAggregate> = FxHashMap::default();
     for (name, def) in registry.aggregates() {
-        planned.insert(
-            name.to_string(),
-            plan_aggregate(def, schema, config.spatial),
-        );
+        let mut plan = plan_aggregate(def, schema, config.spatial);
+        if let Some(backend) = forced {
+            plan.choice = strategy_class(&plan.strategy).map(|class| forced_choice(class, backend));
+        }
+        planned.insert(name.to_string(), plan);
     }
     planned
 }
 
 /// Execute one clock tick: run every script over its acting units and return
 /// the combined effect relation plus execution statistics.  Index structures
-/// come from `manager` according to its maintenance policy.
+/// come from `manager`, as the installed physical choices direct.  Nothing
+/// is priced here, so a cost-based configuration whose scripts call an
+/// indexable aggregate fails with [`ExecError::Config`]: price the plan
+/// first ([`crate::choose_physical`]) and run it with
+/// [`execute_tick_planned`], as the engine does.
 pub fn execute_tick_with(
     table: &EnvTable,
     registry: &Registry,
@@ -144,7 +156,7 @@ pub fn execute_tick_planned(
 
     // Sync cross-tick maintained structures once, through the only mutable
     // borrow of the tick; the fan-out below probes the manager read-only.
-    let maint = if config.mode.uses_indexes() {
+    let maint = if config.uses_indexes() {
         manager.prepare(table, planned, constants)?
     } else {
         crate::indexes::MaintStats::default()
@@ -157,7 +169,7 @@ pub fn execute_tick_planned(
         constants,
         planned,
     };
-    let manager_view = config.mode.uses_indexes().then_some(&*manager);
+    let manager_view = config.uses_indexes().then_some(&*manager);
 
     let mut stats = TickStats {
         index_delta_ops: maint.delta_ops,
@@ -585,6 +597,36 @@ mod tests {
         let runs = vec![ScriptRun::new(&counting.0, vec![0]).with_compiled(&counting.1)];
         let err = execute_tick(&table, &bare, &runs, &rng, &ExecConfig::naive(&schema));
         assert!(matches!(err, Err(ExecError::UnknownBuiltin(_))), "{err:?}");
+
+        // A cost-based plan nobody priced is refused rather than scanned;
+        // priced, the same tick runs on the chosen structures.
+        let runs = vec![ScriptRun::new(&counting.0, vec![0]).with_compiled(&counting.1)];
+        let config = ExecConfig::cost_based(&schema);
+        let err = execute_tick(&table, &registry, &runs, &rng, &config);
+        assert!(matches!(err, Err(ExecError::Config(_))), "{err:?}");
+        let mut planned = plan_registry(&registry, &table, &config);
+        crate::choose_physical(
+            &mut planned,
+            &crate::RuntimeStats::default(),
+            &sgl_algebra::CostConstants::default(),
+            table.len(),
+            config.cascading,
+        );
+        let mut manager = IndexManager::new(&config);
+        let constants = registry.constants().clone();
+        let (_, stats, _) = execute_tick_planned(
+            &table,
+            &registry,
+            &runs,
+            &rng,
+            &config,
+            &mut manager,
+            &planned,
+            &constants,
+        )
+        .unwrap();
+        assert!(planned["CountEnemiesInRange"].choice.is_some());
+        assert_eq!(stats.aggregate_probes, 1);
     }
 
     /// The Send/Sync audit behind the parallel executor: everything a worker

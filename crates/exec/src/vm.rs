@@ -142,7 +142,7 @@ pub(crate) fn run_compiled<'a>(
                 ))
             })?;
             let probe_site = match (&state.cache, &site.prologue) {
-                (Some(cache), Some(_)) => cache.open_site(planned),
+                (Some(cache), Some(_)) => cache.open_site(planned)?,
                 _ => None,
             };
             // The prologue was lowered from the analysis `plan_aggregate`
@@ -483,19 +483,18 @@ impl Vm {
                         self.candidates.push(idx as u32);
                     }
                 }
-                ClauseTarget::Rect(code) if shared.config.aoe_index => {
-                    // Area-of-effect: enumerate through the spatial index.
-                    let rect = eval_rect(code, &env, &mut self.stack)?;
-                    match state.cache.as_mut() {
-                        Some(cache) => {
-                            for fp in cache.partition_fps_for(&[])? {
-                                self.candidates.extend(cache.enum_query(&[], fp, &rect)?);
-                            }
+                // Area-of-effect: enumerate through the spatial index when
+                // the tick has an index view; without one, test every row.
+                ClauseTarget::Rect(code) => match state.cache.as_mut() {
+                    Some(cache) => {
+                        let rect = eval_rect(code, &env, &mut self.stack)?;
+                        for fp in cache.partition_fps_for(&[])? {
+                            self.candidates.extend(cache.enum_query(&[], fp, &rect)?);
                         }
-                        None => self.candidates.extend(all_rows.clone()),
                     }
-                }
-                _ => self.candidates.extend(all_rows.clone()),
+                    None => self.candidates.extend(all_rows.clone()),
+                },
+                ClauseTarget::Scan => self.candidates.extend(all_rows.clone()),
             }
 
             let log = &mut self.site_logs[site_idx];

@@ -20,15 +20,11 @@
 //!   MIN/MAX aggregates over constant-size ranges;
 //! * [`partition`] — the categorical hash layer (player × unit type) placed on
 //!   top of the spatial indexes, as in the experimental setup of §6;
-//! * [`grid`] — a uniform bucket grid used as an ablation baseline;
+//! * [`grid`] — a uniform bucket grid, and the maintained (not rebuilt)
+//!   [`grid::DynamicAggGrid`] that patches per-unit deltas across ticks;
 //! * [`quadtree`] — a bucket PR quadtree with per-node aggregate summaries
 //!   (divisible aggregates *and* exact MIN/MAX from one structure), an
-//!   ablation point against the paper's layered range tree + sweep-line pair;
-//! * [`mra_tree`] — the multi-resolution aggregate tree the paper mentions as
-//!   the approximate alternative for MIN/MAX over arbitrary ranges (§5.3.1);
-//! * [`dynamic_agg`] — a dynamic (maintained, not rebuilt) aggregate index
-//!   used to measure the paper's "rebuild beats dynamic maintenance" claim.
-
+//!   ablation point against the paper's layered range tree + sweep-line pair.
 //!
 //! All structures are additionally reachable through the common trait layer
 //! of [`traits`] ([`traits::AggIndex`] / [`traits::SpatialIndex`]), which is
@@ -41,10 +37,8 @@
 
 pub mod agg_tree;
 pub mod divisible;
-pub mod dynamic_agg;
 pub mod grid;
 pub mod kdtree;
-pub mod mra_tree;
 pub mod partition;
 pub mod quadtree;
 pub mod range_tree;

@@ -469,88 +469,6 @@ impl SpatialIndex for GridSpatialIndex {
     }
 }
 
-// --- 1-D dynamic adapter -----------------------------------------------------
-
-/// [`AggIndex`] adapter over the 1-D dynamic treap of [`crate::dynamic_agg`].
-///
-/// The treap indexes the x coordinate only, so rectangle probes are exact
-/// **only when the rectangle is unbounded in y** — the workload of the
-/// rebuild-vs-dynamic microbenchmark and of one-dimensional aggregate
-/// columns.  Rectangles with finite y bounds are rejected with a debug
-/// assertion.
-pub struct DynamicXTreap {
-    treap: crate::dynamic_agg::DynamicAggIndex,
-}
-
-impl DynamicXTreap {
-    /// An empty index.
-    pub fn new() -> DynamicXTreap {
-        DynamicXTreap {
-            treap: crate::dynamic_agg::DynamicAggIndex::new(),
-        }
-    }
-}
-
-impl Default for DynamicXTreap {
-    fn default() -> Self {
-        DynamicXTreap::new()
-    }
-}
-
-impl AggIndex for DynamicXTreap {
-    fn channels(&self) -> usize {
-        1
-    }
-
-    fn len(&self) -> usize {
-        self.treap.len()
-    }
-
-    fn rebuild(&mut self, rows: &[IndexRow]) {
-        self.treap = crate::dynamic_agg::DynamicAggIndex::new();
-        for row in rows {
-            self.treap.insert(
-                row.id,
-                row.point.x,
-                row.values.first().copied().unwrap_or(0.0),
-            );
-        }
-    }
-
-    fn probe_rect(&self, rect: &Rect) -> DivAcc {
-        debug_assert!(
-            rect.y_min == f64::NEG_INFINITY && rect.y_max == f64::INFINITY,
-            "DynamicXTreap answers x-range probes only"
-        );
-        self.treap.query(rect.x_min, rect.x_max).to_div_acc()
-    }
-
-    fn apply_delta(&mut self, delta: &IndexDelta) -> bool {
-        match delta {
-            IndexDelta::Insert { row } => {
-                self.treap.insert(
-                    row.id,
-                    row.point.x,
-                    row.values.first().copied().unwrap_or(0.0),
-                );
-            }
-            IndexDelta::Remove { id, point } => {
-                self.treap.remove(*id, point.x);
-            }
-            IndexDelta::Update { id, old_point, row } => {
-                self.treap.remove(*id, old_point.x);
-                self.treap
-                    .insert(*id, row.point.x, row.values.first().copied().unwrap_or(0.0));
-            }
-        }
-        true
-    }
-
-    fn supports_deltas(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,8 +569,6 @@ mod tests {
         assert_eq!(grid.size_hint_rows(), 49);
         assert!(grid.density_hint().is_some());
         assert!(tree.density_hint().is_none());
-        let treap = DynamicXTreap::new();
-        assert_eq!(treap.delta_cost_class(), DeltaCostClass::Logarithmic);
     }
 
     #[test]
@@ -698,46 +614,5 @@ mod tests {
         assert!(data
             .iter()
             .any(|r| r.id == id && (query.dist2(&r.point) - best).abs() < 1e-9));
-    }
-
-    #[test]
-    fn dynamic_treap_adapter_maintains_x_ranges() {
-        let mut data = rows(120, 7);
-        let mut index = DynamicXTreap::new();
-        index.rebuild(&data);
-        assert!(index.supports_deltas());
-        // Move half the rows, remove a few, insert one.
-        let mut state = 5u64;
-        for r in data.iter_mut().take(60) {
-            let old = r.point;
-            r.point = Point2::new(lcg(&mut state) * 100.0, r.point.y);
-            assert!(index.apply_delta(&IndexDelta::Update {
-                id: r.id,
-                old_point: old,
-                row: r.clone()
-            }));
-        }
-        let removed = data.pop().unwrap();
-        assert!(index.apply_delta(&IndexDelta::Remove {
-            id: removed.id,
-            point: removed.point
-        }));
-        let added = IndexRow::new(9999, Point2::new(42.0, 0.0), vec![3.0]);
-        assert!(index.apply_delta(&IndexDelta::Insert { row: added.clone() }));
-        data.push(added);
-
-        let rect = Rect::new(10.0, 80.0, f64::NEG_INFINITY, f64::INFINITY);
-        let expected: f64 = data
-            .iter()
-            .filter(|r| r.point.x >= 10.0 && r.point.x <= 80.0)
-            .map(|r| r.values[0])
-            .sum();
-        let count = data
-            .iter()
-            .filter(|r| r.point.x >= 10.0 && r.point.x <= 80.0)
-            .count();
-        let acc = index.probe_rect(&rect);
-        assert_eq!(acc.count() as usize, count);
-        assert!((acc.channel_sum(0) - expected).abs() < 1e-6);
     }
 }

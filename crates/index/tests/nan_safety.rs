@@ -5,7 +5,6 @@
 //! structures built without complaint but their invariants did not hold.
 
 use sgl_index::agg_tree::{AggEntry, LayeredAggTree};
-use sgl_index::dynamic_agg::DynamicAggIndex;
 use sgl_index::grid::DynamicAggGrid;
 use sgl_index::kdtree::KdTree;
 use sgl_index::range_tree::RangeTree2D;
@@ -134,37 +133,6 @@ fn sweepline_with_nan_data_and_queries_matches_the_naive_filter() {
             assert_eq!(fast[qi].map(|r| r.0), best, "{kind:?} query {qi}");
         }
     }
-}
-
-#[test]
-fn dynamic_treap_keeps_invariants_under_nan_coordinates() {
-    let mut index = DynamicAggIndex::new();
-    for i in 0..40u64 {
-        let coord = if i % 5 == 2 {
-            // Alternate NaN signs: negative NaN sorts differently under
-            // total_cmp and must still be excluded from range queries.
-            if i % 10 == 2 {
-                f64::NAN
-            } else {
-                -f64::NAN
-            }
-        } else {
-            (i as f64 * 3.7) % 25.0
-        };
-        index.insert(i, coord, 1.0);
-    }
-    assert!(index.check_invariants(), "NaN keys broke the treap order");
-    // Finite-range queries count exactly the finite entries in range (a NaN
-    // key absorbed into a sum would also poison it with a NaN value).
-    let summary = index.query(0.0, 25.0);
-    let expected = (0..40u64).filter(|i| i % 5 != 2).count();
-    assert_eq!(summary.count, expected);
-    assert!(summary.sum.is_finite());
-    // NaN entries stay individually addressable (remove uses the same key
-    // ordering as insert), whichever sign the NaN carries.
-    assert!(index.remove(2, f64::NAN));
-    assert!(index.remove(7, -f64::NAN));
-    assert!(index.check_invariants());
 }
 
 #[test]

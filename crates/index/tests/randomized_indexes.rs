@@ -11,10 +11,8 @@
 //! proptest crate.
 
 use sgl_index::agg_tree::{AggEntry, LayeredAggTree};
-use sgl_index::dynamic_agg::DynamicAggIndex;
 use sgl_index::grid::UniformGrid;
 use sgl_index::kdtree::KdTree;
-use sgl_index::mra_tree::{MraAgg, MraTree};
 use sgl_index::quadtree::AggQuadTree;
 use sgl_index::range_tree::RangeTree2D;
 use sgl_index::{Point2, Rect};
@@ -186,64 +184,6 @@ fn range_tree_and_grid_match_scan() {
     }
 }
 
-/// The MRA tree's exact mode agrees with the scan for all four aggregate
-/// kinds, and its budgeted bounds always bracket the exact answer.
-#[test]
-fn mra_tree_bounds_are_sound() {
-    for case in 0..CASES {
-        let mut rng = Rng::of_case(4, case);
-        let rows = random_rows(&mut rng, 150);
-        let rect = random_rect(&mut rng);
-        let budget = 1 + rng.below(63) as usize;
-        let pts = points(&rows);
-        let values: Vec<f64> = rows.iter().map(|r| r.value).collect();
-        let tree = MraTree::build(&pts, &values, 6);
-        let matching = brute_ids(&rows, &rect);
-        let exact_count = matching.len() as f64;
-        let exact_sum: f64 = matching.iter().map(|&i| values[i as usize]).sum();
-        let exact_min = matching
-            .iter()
-            .map(|&i| values[i as usize])
-            .reduce(f64::min);
-        let exact_max = matching
-            .iter()
-            .map(|&i| values[i as usize])
-            .reduce(f64::max);
-
-        assert_eq!(
-            tree.query_exact(&rect, MraAgg::Count),
-            Some(exact_count),
-            "case {case}"
-        );
-        let sum = tree.query_exact(&rect, MraAgg::Sum).unwrap();
-        assert!((sum - exact_sum).abs() < 1e-6, "case {case}");
-        assert_eq!(
-            tree.query_exact(&rect, MraAgg::Min),
-            exact_min,
-            "case {case}"
-        );
-        assert_eq!(
-            tree.query_exact(&rect, MraAgg::Max),
-            exact_max,
-            "case {case}"
-        );
-
-        for agg in [MraAgg::Count, MraAgg::Min, MraAgg::Max] {
-            let bounds = tree.query_with_budget(&rect, agg, budget);
-            let exact = match agg {
-                MraAgg::Count => Some(exact_count),
-                MraAgg::Min => exact_min,
-                MraAgg::Max => exact_max,
-                MraAgg::Sum => unreachable!(),
-            };
-            if let Some(x) = exact {
-                assert!(bounds.lower <= x + 1e-9, "case {case}");
-                assert!(x <= bounds.upper + 1e-9, "case {case}");
-            }
-        }
-    }
-}
-
 /// The kD-tree nearest neighbour matches the scan (distance ties allowed).
 #[test]
 fn kdtree_nearest_matches_scan() {
@@ -266,67 +206,6 @@ fn kdtree_nearest_matches_scan() {
                 );
             }
             None => assert!(pts.is_empty(), "case {case}"),
-        }
-    }
-}
-
-/// The dynamic aggregate treap agrees with a scan after an arbitrary
-/// sequence of inserts, removals and coordinate updates.
-#[test]
-fn dynamic_index_matches_scan() {
-    for case in 0..CASES {
-        let mut rng = Rng::of_case(6, case);
-        let rows = random_rows(&mut rng, 120);
-        let mut live: Vec<Option<(f64, f64)>> = rows.iter().map(|r| Some((r.x, r.value))).collect();
-        let mut index = DynamicAggIndex::new();
-        for (id, r) in rows.iter().enumerate() {
-            index.insert(id as u64, r.x, r.value);
-        }
-        for _ in 0..rng.below(40) {
-            let victim = rng.below(120) as usize;
-            if victim < live.len() {
-                if let Some((coord, _)) = live[victim] {
-                    assert!(index.remove(victim as u64, coord), "case {case}");
-                    live[victim] = None;
-                }
-            }
-        }
-        for _ in 0..rng.below(40) {
-            let mover = rng.below(120) as usize;
-            let new_coord = rng.below(1024) as f64 * 0.25;
-            if mover < live.len() {
-                if let Some((coord, value)) = live[mover] {
-                    assert!(
-                        index.update_coord(mover as u64, coord, new_coord, value),
-                        "case {case}"
-                    );
-                    live[mover] = Some((new_coord, value));
-                }
-            }
-        }
-        assert!(index.check_invariants());
-
-        let lo = rng.unit() * WORLD;
-        let hi = lo + rng.unit() * WORLD;
-        let summary = index.query(lo, hi);
-        let expected: Vec<f64> = live
-            .iter()
-            .flatten()
-            .filter(|(c, _)| *c >= lo && *c <= hi)
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(summary.count, expected.len(), "case {case}");
-        let expected_sum: f64 = expected.iter().sum();
-        assert!((summary.sum - expected_sum).abs() < 1e-6, "case {case}");
-        if !expected.is_empty() {
-            assert_eq!(
-                summary.min,
-                expected.iter().cloned().fold(f64::INFINITY, f64::min)
-            );
-            assert_eq!(
-                summary.max,
-                expected.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            );
         }
     }
 }

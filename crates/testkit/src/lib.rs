@@ -38,74 +38,57 @@ pub use soak::{run_soak, SoakFailure, SoakReport, SoakSpec};
 pub use world_gen::{generate_world, GeneratedWorld, WorldLayout, WorldSpec};
 
 use sgl_core::env::Schema;
-use sgl_core::exec::{ExecConfig, MaintenancePolicy, Parallelism, PlannerMode, RebuildBackend};
+use sgl_core::exec::{ExecConfig, Parallelism, PhysicalBackend, PlannerMode};
 
 /// The full executor-configuration lattice the conformance and golden-digest
-/// suites sweep (27 configurations):
+/// suites sweep (18 configurations):
 ///
 /// ```text
-/// {naive, planned} × {RebuildEachTick, Incremental, Adaptive}
-///                  × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
-///   + costbased(window=2) × {serial, 2, 4 threads}
-///   + materialized × {serial, 2, 4 threads}
+/// {scan, layered-tree, quadtree, grid, materialized, costbased/w2}
+///   × {serial, 2, 4 threads}
 /// ```
 ///
-/// Every row runs the register-bytecode VM (the `naive/` rows without an
-/// index view, the `planned/` rows under
-/// [`ExecMode::Compiled`](sgl_core::exec::ExecMode::Compiled)).  Maintenance policy and rebuild backend are
-/// index-layer knobs, so the naive executor contributes one entry per
-/// thread count.  The cost-based rows run the adaptive planner with a 2-tick
-/// re-costing window, so a 4–6 tick conformance case re-costs (and may swap
-/// backends per call site) mid-run — proving adaptivity is observationally
-/// neutral.  The oracle configuration ([`ExecConfig::oracle`]) is
-/// deliberately *not* part of the lattice: it is the reference the lattice
-/// is compared against.
+/// Every row runs the register-bytecode VM.  The five forced rows each put
+/// one backend on every call site that can use it
+/// ([`PlannerMode::Force`]; `scan` is the naive executor, with no index
+/// view).  `Force(Sweep)` and `Force(KdTree)` install the same plan as
+/// `Force(LayeredTree)` — the paper's structure for every class — so one
+/// row covers all three.  The cost-based rows run the adaptive planner with
+/// a 2-tick re-costing window, so a 4–6 tick conformance case re-costs (and
+/// may swap backends per call site) mid-run — proving adaptivity is
+/// observationally neutral.  The oracle configuration
+/// ([`ExecConfig::oracle`]) is deliberately *not* part of the lattice: it is
+/// the reference the lattice is compared against.
 pub fn config_lattice(schema: &Schema) -> Vec<(String, ExecConfig)> {
-    let mut configs = Vec::new();
     let threads = [
         ("serial", Parallelism::Off),
         ("2t", Parallelism::Threads(2)),
         ("4t", Parallelism::Threads(4)),
     ];
+    let planners = [
+        ("scan", PlannerMode::Force(PhysicalBackend::Scan)),
+        (
+            "layered-tree",
+            PlannerMode::Force(PhysicalBackend::LayeredTree),
+        ),
+        ("quadtree", PlannerMode::Force(PhysicalBackend::QuadTree)),
+        ("grid", PlannerMode::Force(PhysicalBackend::MaintainedGrid)),
+        (
+            "materialized",
+            PlannerMode::Force(PhysicalBackend::Materialized),
+        ),
+        ("costbased/w2", PlannerMode::cost_based(2)),
+    ];
+    let mut configs = Vec::new();
     for (tname, par) in threads {
-        configs.push((
-            format!("naive/{tname}"),
-            ExecConfig::naive(schema).with_parallelism(par),
-        ));
-        for (pname, policy) in [
-            ("rebuild", MaintenancePolicy::RebuildEachTick),
-            ("incremental", MaintenancePolicy::Incremental),
-            ("adaptive", MaintenancePolicy::adaptive()),
-        ] {
-            for (bname, backend) in [
-                ("layered", RebuildBackend::LayeredTree),
-                ("quadtree", RebuildBackend::QuadTree),
-            ] {
-                configs.push((
-                    format!("planned/{pname}/{bname}/{tname}"),
-                    ExecConfig::indexed(schema)
-                        .with_policy(policy)
-                        .with_backend(backend)
-                        .with_parallelism(par),
-                ));
-            }
+        for (pname, planner) in planners {
+            configs.push((
+                format!("{pname}/{tname}"),
+                ExecConfig::indexed(schema)
+                    .with_planner(planner)
+                    .with_parallelism(par),
+            ));
         }
-        configs.push((
-            format!("planned/costbased/w2/{tname}"),
-            ExecConfig::cost_based(schema)
-                .with_planner(PlannerMode::cost_based(2))
-                .with_parallelism(par),
-        ));
-        // Forced materialization: every divisible / min-max call site serves
-        // from the delta-patched answer store.  The generated worlds are too
-        // short for the cost model to pick materialization on its own, so
-        // the conformance rows force it to prove behaviour neutrality.
-        configs.push((
-            format!("planned/materialized/{tname}"),
-            ExecConfig::cost_based(schema)
-                .with_planner(PlannerMode::ForceMaterialized)
-                .with_parallelism(par),
-        ));
     }
     configs
 }

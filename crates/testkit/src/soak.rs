@@ -368,8 +368,8 @@ mod tests {
         let run = SoakRun {
             case,
             spec,
-            primary_label: "planned/rebuild/layered/serial".into(),
-            shadow_label: "naive/2t".into(),
+            primary_label: "layered-tree/serial".into(),
+            shadow_label: "scan/2t".into(),
             recorder: TraceRecorder::new(),
         };
         let failure = run.fail(7, "synthetic violation".into());
@@ -377,8 +377,8 @@ mod tests {
         for needle in [
             "SOAK FAILURE",
             "synthetic violation",
-            "planned/rebuild/layered/serial",
-            "naive/2t",
+            "layered-tree/serial",
+            "scan/2t",
             "script:",
         ] {
             assert!(failure.dump.contains(needle), "missing {needle}");

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use sgl::battle::{BattleScenario, ScenarioConfig};
-use sgl::exec::{ExecConfig, ExecMode, Parallelism};
+use sgl::exec::{ExecConfig, Parallelism};
 
 fn main() {
     let units: usize = std::env::args()
@@ -30,19 +30,23 @@ fn main() {
         units / 2
     );
 
-    for mode in [ExecMode::Compiled, ExecMode::Naive] {
+    let configs = [
+        ("indexed", ExecConfig::indexed(&scenario.schema)),
+        ("naive", ExecConfig::naive(&scenario.schema)),
+    ];
+    for (mode, config) in configs {
         // Keep the naive run short for large armies — that is the point.
-        let ticks = if mode == ExecMode::Naive && units > 1000 {
+        let ticks = if mode == "naive" && units > 1000 {
             3
         } else {
             10
         };
-        let mut sim = scenario.build_simulation(mode);
+        let mut sim = scenario.build_with_config(config);
         let start = Instant::now();
         let summary = sim.run(ticks).expect("battle runs");
         let per_tick = start.elapsed().as_secs_f64() / ticks as f64;
         println!(
-            "{mode:?}: {:.3} s/tick ({:.1} ticks/s), {} aggregate probes/tick, {} deaths",
+            "{mode}: {:.3} s/tick ({:.1} ticks/s), {} aggregate probes/tick, {} deaths",
             per_tick,
             1.0 / per_tick,
             summary.exec.aggregate_probes / ticks,
@@ -59,7 +63,7 @@ fn main() {
         } else {
             Parallelism::Threads(threads)
         };
-        let mut sim = scenario.build_simulation(ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         sim.set_exec_config(ExecConfig::indexed(&scenario.schema).with_parallelism(parallelism))
             .expect("the battle scripts compile under every configuration");
         let ticks = 10;

@@ -8,7 +8,7 @@
 //! ```
 
 use sgl::battle::{BattleScenario, Formation, ScenarioConfig, UnitKind, UnitMix};
-use sgl::exec::ExecMode;
+use sgl::exec::ExecConfig;
 
 fn main() {
     let config = ScenarioConfig {
@@ -24,7 +24,7 @@ fn main() {
         formation: Formation::Line,
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Compiled);
+    let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
 
     let schema = scenario.schema.clone();
     let player = schema.attr_id("player").unwrap();

@@ -8,13 +8,13 @@
 //! ```
 
 use sgl::battle::PresetScenario;
-use sgl::exec::ExecMode;
+use sgl::exec::ExecConfig;
 
 fn main() {
     const TICKS: usize = 25;
     for preset in PresetScenario::all() {
-        let mut indexed = preset.build_simulation(ExecMode::Compiled);
-        let mut oracle = preset.build_simulation(ExecMode::Oracle);
+        let mut indexed = preset.build_with_config(ExecConfig::indexed(&preset.schema));
+        let mut oracle = preset.build_with_config(ExecConfig::oracle(&preset.schema));
         let start = preset.table.len();
         let mut diverged = false;
         for _ in 0..TICKS {

@@ -21,7 +21,7 @@
 use sgl::battle::{BattleScenario, Formation, ScenarioConfig};
 use sgl::engine::{compare_traces, StateDigest, TraceComparison, TraceRecorder};
 use sgl::env::snapshot::{restore, snapshot};
-use sgl::exec::ExecMode;
+use sgl::exec::ExecConfig;
 
 fn main() {
     let config = ScenarioConfig {
@@ -43,8 +43,12 @@ fn main() {
     // 1. Record one trace per execution mode.
     let ticks = 15;
     let mut traces = Vec::new();
-    for mode in [ExecMode::Naive, ExecMode::Compiled] {
-        let mut sim = scenario.build_simulation(mode);
+    let configs = [
+        ("naive", ExecConfig::naive(&scenario.schema)),
+        ("indexed", ExecConfig::indexed(&scenario.schema)),
+    ];
+    for (mode, config) in configs {
+        let mut sim = scenario.build_with_config(config);
         let mut recorder = TraceRecorder::new();
         for _ in 0..ticks {
             let report = sim.step().expect("tick succeeds");
@@ -52,7 +56,7 @@ fn main() {
         }
         let throughput = sim.throughput();
         println!(
-            "{:>8?}: {:>6.1} ticks/s (mean tick {:?}), final digest {:016x}",
+            "{:>8}: {:>6.1} ticks/s (mean tick {:?}), final digest {:016x}",
             mode,
             throughput.ticks_per_second,
             throughput.mean_tick,
@@ -89,7 +93,7 @@ fn main() {
     //    tick counter, the RNG stream state, the runtime statistics and the
     //    planner state — everything the remaining trajectory depends on.
     let split = 6;
-    let mut writer = scenario.build_simulation(ExecMode::Compiled);
+    let mut writer = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     for _ in 0..split {
         writer.step().expect("tick succeeds");
     }
@@ -104,7 +108,7 @@ fn main() {
     // Resume into a brand-new simulation — here even under a different
     // configuration (naive execution): every knob is behaviour-neutral, so
     // the resumed run must still reproduce the uninterrupted indexed trace.
-    let mut resumed = scenario.build_simulation(ExecMode::Naive);
+    let mut resumed = scenario.build_with_config(ExecConfig::naive(&scenario.schema));
     let naive_config = *resumed.exec_config();
     resumed
         .resume(&checkpoint, naive_config)

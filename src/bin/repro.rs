@@ -11,8 +11,8 @@
 //! *shape*: quadratic naive growth, near-linear indexed growth, an order of
 //! magnitude gap well before 1 000 units.
 
-use sgl::battle::scenario::run_battle;
-use sgl::exec::ExecMode;
+use sgl::battle::{battle_schema, scenario::run_battle};
+use sgl::exec::ExecConfig;
 
 fn fig10(quick: bool) {
     println!("== Figure 10: total time per 500 ticks vs. number of units (density 1%) ==");
@@ -30,8 +30,9 @@ fn fig10(quick: bool) {
         // in reasonable time; the per-tick cost is what matters.
         let ticks = (4000 / units).clamp(2, 20);
         let naive_ticks = if units > 4000 { 2 } else { ticks };
-        let naive = run_battle(units, 0.01, ExecMode::Naive, naive_ticks, 42);
-        let indexed = run_battle(units, 0.01, ExecMode::Compiled, ticks, 42);
+        let schema = battle_schema();
+        let naive = run_battle(units, 0.01, ExecConfig::naive(&schema), naive_ticks, 42);
+        let indexed = run_battle(units, 0.01, ExecConfig::indexed(&schema), ticks, 42);
         println!(
             "{:>8} {:>16.2} {:>16.2} {:>8.1}x",
             units,
@@ -49,8 +50,9 @@ fn density() {
         "density", "naive (s/500t)", "indexed (s/500t)"
     );
     for density in [0.005, 0.01, 0.02, 0.04, 0.08] {
-        let naive = run_battle(500, density, ExecMode::Naive, 5, 42);
-        let indexed = run_battle(500, density, ExecMode::Compiled, 5, 42);
+        let schema = battle_schema();
+        let naive = run_battle(500, density, ExecConfig::naive(&schema), 5, 42);
+        let indexed = run_battle(500, density, ExecConfig::indexed(&schema), 5, 42);
         println!(
             "{:>8.1}% {:>16.2} {:>16.2}",
             density * 100.0,
@@ -62,22 +64,27 @@ fn density() {
 
 fn capacity() {
     println!("== Capacity at 10 ticks/second (section 6.1) ==");
-    for mode in [ExecMode::Naive, ExecMode::Compiled] {
+    let schema = battle_schema();
+    let configs = [
+        ("naive", ExecConfig::naive(&schema)),
+        ("indexed", ExecConfig::indexed(&schema)),
+    ];
+    for (mode, config) in configs {
         let mut supported = 0usize;
         for &units in &[250usize, 500, 1000, 2000, 4000, 8000, 12000, 16000] {
-            let ticks = if mode == ExecMode::Naive && units > 2000 {
+            let ticks = if mode == "naive" && units > 2000 {
                 2
             } else {
                 3
             };
-            let m = run_battle(units, 0.01, mode, ticks, 42);
+            let m = run_battle(units, 0.01, config, ticks, 42);
             if m.ticks_per_second() >= 10.0 {
                 supported = units;
             } else {
                 break;
             }
         }
-        println!("{mode:?}: supports ~{supported} units at >= 10 ticks/second");
+        println!("{mode}: supports ~{supported} units at >= 10 ticks/second");
     }
 }
 

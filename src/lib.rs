@@ -7,10 +7,10 @@
 //!
 //! ```
 //! use sgl::battle::{BattleScenario, ScenarioConfig};
-//! use sgl::exec::ExecMode;
+//! use sgl::exec::ExecConfig;
 //!
 //! let scenario = BattleScenario::generate(ScenarioConfig { units: 40, ..Default::default() });
-//! let mut sim = scenario.build_simulation(ExecMode::Compiled);
+//! let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
 //! sim.run(2).unwrap();
 //! assert_eq!(sim.current_tick(), 2);
 //! ```

@@ -13,18 +13,19 @@
 //! deterministic function of what it does.
 //!
 //! The sweep covers ≥ 8 generated `(script, world)` seeds × the full
-//! 27-entry configuration lattice (including the force-materialized rows,
+//! 18-entry configuration lattice (including the forced-materialized rows,
 //! whose answer stores are deliberately *not* serialized and must be
 //! rebuilt on resume), with the split point chosen seeded and *odd* — the
 //! cost-based lattice rows re-cost on a 2-tick window, so an odd split
-//! resumes mid-window with materialized answers live.  A second sweep resumes under a *different*
-//! configuration than the writer (different parallelism, backend, policy,
-//! planner and naive↔indexed), and a third checks the reader rejects
+//! resumes mid-window with materialized answers live.  A second sweep
+//! resumes under a *different* configuration than the writer (different
+//! parallelism, forced backend, planner and naive↔indexed), and a third
+//! checks the reader rejects
 //! corrupted and mismatched input with typed errors.
 
 use sgl::engine::StateDigest;
 use sgl::env::EnvError;
-use sgl::exec::{ExecConfig, MaintenancePolicy, Parallelism, PlannerMode, RebuildBackend};
+use sgl::exec::{ExecConfig, Parallelism, PhysicalBackend, PlannerMode};
 use sgl_testkit::{config_lattice, ConformanceCase, TestRng};
 
 /// Generated seeds to sweep (acceptance floor is 8).
@@ -121,8 +122,7 @@ fn resume_is_digest_identical_across_the_lattice() {
 }
 
 /// Cross-configuration resume: the writer and the reader run different
-/// parallelism, maintenance policy, rebuild backend, planner mode — even
-/// naive vs indexed.  The resumed trajectory must still match the reader
+/// parallelism, forced backend, planner mode — even naive vs indexed.  The resumed trajectory must still match the reader
 /// configuration's own uninterrupted run (which the conformance lattice
 /// proves equals everyone else's).
 #[test]
@@ -132,6 +132,8 @@ fn resume_under_a_different_config_than_the_writer() {
         case.ticks = TICKS;
         let schema = case.world.schema.clone();
         let indexed = ExecConfig::indexed(&schema);
+        let forced = |backend| indexed.with_planner(PlannerMode::Force(backend));
+        let materialized = forced(PhysicalBackend::Materialized);
         let pairs: Vec<(&str, ExecConfig, ExecConfig)> = vec![
             (
                 "serial→4t",
@@ -145,21 +147,21 @@ fn resume_under_a_different_config_than_the_writer() {
             ),
             (
                 "layered→quadtree",
-                indexed.with_backend(RebuildBackend::LayeredTree),
-                indexed.with_backend(RebuildBackend::QuadTree),
+                indexed,
+                forced(PhysicalBackend::QuadTree),
             ),
             (
-                "rebuild→incremental",
-                indexed.with_policy(MaintenancePolicy::RebuildEachTick),
-                indexed.with_policy(MaintenancePolicy::Incremental),
+                "layered→grid",
+                indexed,
+                forced(PhysicalBackend::MaintainedGrid),
             ),
             (
-                "costbased→heuristic",
+                "costbased→layered",
                 ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
                 indexed,
             ),
             (
-                "heuristic→costbased/2t",
+                "layered→costbased/2t",
                 indexed,
                 ExecConfig::cost_based(&schema)
                     .with_planner(PlannerMode::cost_based(2))
@@ -171,17 +173,11 @@ fn resume_under_a_different_config_than_the_writer() {
             // *into* the materialized class rebuilds them from the restored
             // table; resuming *out of* it discards them.  Either direction
             // must be digest-neutral.
-            (
-                "materialized→heuristic",
-                ExecConfig::cost_based(&schema).with_planner(PlannerMode::ForceMaterialized),
-                indexed,
-            ),
+            ("materialized→layered", materialized, indexed),
             (
                 "costbased→materialized/2t",
                 ExecConfig::cost_based(&schema).with_planner(PlannerMode::cost_based(2)),
-                ExecConfig::cost_based(&schema)
-                    .with_planner(PlannerMode::ForceMaterialized)
-                    .with_parallelism(Parallelism::Threads(2)),
+                materialized.with_parallelism(Parallelism::Threads(2)),
             ),
         ];
         let k = 3; // odd: mid-window for the cost-based writer

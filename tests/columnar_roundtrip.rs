@@ -23,7 +23,7 @@ use sgl::battle::{battle_mechanics, battle_registry, BattleScenario, ScenarioCon
 use sgl::engine::{Simulation, UnitSelector};
 use sgl::env::snapshot::{restore, snapshot};
 use sgl::env::{EnvTable, TableMemoryStats, Value};
-use sgl::exec::{ExecConfig, PlannerMode};
+use sgl::exec::{ExecConfig, PhysicalBackend, PlannerMode};
 use sgl::GameBuilder;
 use sgl_testkit::{generate_world, TestRng, WorldLayout, WorldSpec};
 
@@ -247,7 +247,10 @@ fn table_footprint_stays_within_the_recorded_bounds() {
         battle_registry(),
         battle_mechanics(&calm.schema, calm.world_side, calm.config.resurrect),
     )
-    .exec_config(ExecConfig::cost_based(&calm.schema).with_planner(PlannerMode::ForceMaterialized))
+    .exec_config(
+        ExecConfig::indexed(&calm.schema)
+            .with_planner(PlannerMode::Force(PhysicalBackend::Materialized)),
+    )
     .seed(calm.config.seed)
     .script(
         "sentry",

@@ -9,14 +9,12 @@
 //! across the full configuration lattice:
 //!
 //! ```text
-//! {naive, planned} × {RebuildEachTick, Incremental, Adaptive}
-//!                  × {LayeredTree, QuadTree} × {serial, 2, 4 threads}
-//!   + costbased(window=2) × {serial, 2, 4 threads}
-//!   + materialized × {serial, 2, 4 threads}
+//! {scan, layered-tree, quadtree, grid, materialized, costbased/w2}
+//!   × {serial, 2, 4 threads}
 //! ```
 //!
-//! (maintenance policy and backend are index-layer knobs, so the naive
-//! executor contributes one entry per thread count).  A divergence is
+//! (each forced row puts one backend on every call site that can use it;
+//! `scan` is the naive executor).  A divergence is
 //! shrunk to a minimal set of units before failing, and the panic message is
 //! a complete reproducer: seed, configuration, tick, script source and the
 //! surviving world rows.
@@ -214,31 +212,28 @@ fn generated_cases_agree_with_the_oracle_across_the_lattice() {
 fn the_lattice_covers_the_advertised_configurations() {
     let schema = sgl::battle::battle_schema();
     let configs = lattice(&schema);
-    // 3 thread counts × (1 naive + 3 policies × 2 backends + 1 cost-based
-    // + 1 forced-materialized) = 27, every row on the bytecode VM.
-    assert_eq!(configs.len(), 27);
+    // 3 thread counts × (5 forced backends + 1 cost-based) = 18, every row
+    // on the bytecode VM.
+    assert_eq!(configs.len(), 18);
     for (label, config) in &configs {
-        assert!(
-            matches!(config.mode, ExecMode::Naive | ExecMode::Compiled),
-            "{label}: {:?}",
-            config.mode
-        );
+        assert_eq!(config.mode, ExecMode::Compiled, "{label}");
     }
     let labels: Vec<&str> = configs.iter().map(|(l, _)| l.as_str()).collect();
-    for needle in [
-        "naive/serial",
-        "naive/4t",
-        "planned/rebuild/layered/serial",
-        "planned/rebuild/quadtree/2t",
-        "planned/incremental/layered/4t",
-        "planned/adaptive/quadtree/serial",
-        "planned/costbased/w2/serial",
-        "planned/costbased/w2/4t",
-        "planned/materialized/serial",
-        "planned/materialized/2t",
-        "planned/materialized/4t",
+    for planner in [
+        "scan",
+        "layered-tree",
+        "quadtree",
+        "grid",
+        "materialized",
+        "costbased/w2",
     ] {
-        assert!(labels.contains(&needle), "missing {needle}: {labels:?}");
+        for threads in ["serial", "2t", "4t"] {
+            let needle = format!("{planner}/{threads}");
+            assert!(
+                labels.contains(&needle.as_str()),
+                "missing {needle}: {labels:?}"
+            );
+        }
     }
     // No duplicate configurations.
     let mut sorted = labels.clone();

@@ -4,8 +4,8 @@
 //! update rate crosses the modeled break-even), that the planned and
 //! *executed* choices are both surfaced in `explain`, and that the whole
 //! adaptive machinery is observationally neutral — bit-identical
-//! `StateDigest`s against the heuristic planner and the oracle interpreter.
-//! (The full 27-entry configuration lattice, including the cost-based rows,
+//! `StateDigest`s against the paper's forced plan (`ExecConfig::indexed`)
+//! and the oracle interpreter.  (The full 18-entry configuration lattice, including the cost-based rows,
 //! is swept by `tests/conformance.rs` and `tests/golden_digests.rs`.)
 
 use sgl::battle::{BattleScenario, ScenarioConfig};
@@ -106,7 +106,7 @@ fn dense_and_sparse_worlds_plan_different_backends() {
     assert!(explain.contains("alts:"), "{explain}");
     assert!(explain.contains("µs"), "{explain}");
 
-    // Neutrality on both worlds: the heuristic planner simulates the same
+    // Neutrality on both worlds: the paper's forced plan simulates the same
     // battles, digest for digest.
     for (scen, cost_sim) in [(&dense, &dense_sim), (&sparse, &sparse_sim)] {
         let mut heuristic = scen.build_with_config(ExecConfig::indexed(&scen.schema));
@@ -164,9 +164,9 @@ fn observed_update_rate_flips_incremental_to_rebuild() {
 
 #[test]
 fn explain_surfaces_executed_backends_under_the_heuristic_planner() {
-    // The runtime `served:` annotation is not a cost-based feature: the
-    // heuristic planner's explain shows which structures actually answered
-    // each call site too.
+    // The runtime `served:` annotation is not a cost-based feature: a
+    // forced plan's explain shows which structures actually answered each
+    // call site too.
     let scen = scenario(60, 0.02, 9);
     let mut sim = scen.build_with_config(ExecConfig::indexed(&scen.schema));
     sim.run(3).expect("battle runs");
@@ -176,8 +176,8 @@ fn explain_surfaces_executed_backends_under_the_heuristic_planner() {
         explain.contains("served:"),
         "executed choices missing from explain:\n{explain}"
     );
-    // Heuristic rebuild policy answers divisible aggregates from the
-    // layered tree; the runtime counters must say so.
+    // The paper's plan answers divisible aggregates from the layered tree;
+    // the runtime counters must say so.
     assert!(explain.contains("served: layered-tree"), "{explain}");
     // Naive mode reports scans as the executed choice.
     let mut naive = scen.build_with_config(ExecConfig::naive(&scen.schema));
@@ -195,7 +195,7 @@ fn recosting_happens_on_the_window_and_is_counted() {
     assert_eq!(recosts, 3, "window-3 run of 7 ticks re-costs thrice");
     // The first pass priced every indexable call site (a switch each).
     assert!(sim.history()[0].exec.plan_switches > 0);
-    // Heuristic runs never re-cost.
+    // Forced plans never re-cost.
     let mut heuristic = scen.build_with_config(ExecConfig::indexed(&scen.schema));
     heuristic.run(3).expect("battle runs");
     assert!(heuristic

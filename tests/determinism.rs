@@ -7,10 +7,15 @@ use sgl::battle::{
 };
 use sgl::engine::{compare_traces, StateDigest, TraceComparison, TraceRecorder};
 use sgl::env::snapshot::{restore, snapshot};
-use sgl::exec::{ExecConfig, ExecMode};
+use sgl::env::Schema;
+use sgl::exec::ExecConfig;
 
-fn record(scenario: &BattleScenario, mode: ExecMode, ticks: usize) -> TraceRecorder {
-    let mut sim = scenario.build_simulation(mode);
+fn record(
+    scenario: &BattleScenario,
+    preset: fn(&Schema) -> ExecConfig,
+    ticks: usize,
+) -> TraceRecorder {
+    let mut sim = scenario.build_with_config(preset(&scenario.schema));
     let mut recorder = TraceRecorder::new();
     for _ in 0..ticks {
         let report = sim.step().expect("tick succeeds");
@@ -30,8 +35,8 @@ fn naive_and_indexed_traces_are_identical_for_every_formation() {
             ..ScenarioConfig::default()
         };
         let scenario = BattleScenario::generate(config);
-        let naive = record(&scenario, ExecMode::Naive, 5);
-        let indexed = record(&scenario, ExecMode::Compiled, 5);
+        let naive = record(&scenario, ExecConfig::naive, 5);
+        let indexed = record(&scenario, ExecConfig::indexed, 5);
         assert_eq!(
             compare_traces(&naive, &indexed),
             TraceComparison::Identical,
@@ -71,8 +76,8 @@ fn the_skeleton_horde_scenario_is_mode_independent() {
         ..SkeletonConfig::default()
     };
     let scenario = SkeletonScenario::generate(config);
-    let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
+    let mut naive = scenario.build_with_config(ExecConfig::naive(&scenario.schema));
+    let mut indexed = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     for _ in 0..6 {
         naive.step().unwrap();
         indexed.step().unwrap();
@@ -89,12 +94,12 @@ fn reruns_with_the_same_seed_reproduce_the_same_trace() {
         formation: Formation::Wedge,
         ..ScenarioConfig::default()
     };
-    let a = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
-    let b = record(&BattleScenario::generate(config), ExecMode::Compiled, 6);
+    let a = record(&BattleScenario::generate(config), ExecConfig::indexed, 6);
+    let b = record(&BattleScenario::generate(config), ExecConfig::indexed, 6);
     assert_eq!(compare_traces(&a, &b), TraceComparison::Identical);
     // And a different seed must *not* reproduce it.
     let other = ScenarioConfig { seed: 9, ..config };
-    let c = record(&BattleScenario::generate(other), ExecMode::Compiled, 6);
+    let c = record(&BattleScenario::generate(other), ExecConfig::indexed, 6);
     assert_ne!(compare_traces(&a, &c), TraceComparison::Identical);
 }
 
@@ -108,7 +113,7 @@ fn snapshots_preserve_mid_battle_state_exactly() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Compiled);
+    let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     sim.run(4).unwrap();
 
     let bytes = snapshot(sim.table()).unwrap();
@@ -129,7 +134,7 @@ fn timing_metrics_are_collected_for_every_tick() {
         ..ScenarioConfig::default()
     };
     let scenario = BattleScenario::generate(config);
-    let mut sim = scenario.build_simulation(ExecMode::Compiled);
+    let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     let summary = sim.run(4).unwrap();
     assert!(summary.timings.total() > std::time::Duration::ZERO);
     let throughput = sim.throughput();

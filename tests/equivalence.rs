@@ -3,7 +3,7 @@
 //! transformation), and the battle case study must exercise the whole stack.
 
 use sgl::battle::{BattleScenario, ScenarioConfig};
-use sgl::exec::ExecMode;
+use sgl::exec::ExecConfig;
 
 fn scenario(units: usize, seed: u64) -> BattleScenario {
     BattleScenario::generate(ScenarioConfig {
@@ -17,8 +17,8 @@ fn scenario(units: usize, seed: u64) -> BattleScenario {
 #[test]
 fn naive_and_indexed_battles_agree_on_integer_state() {
     let scenario = scenario(60, 77);
-    let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
+    let mut naive = scenario.build_with_config(ExecConfig::naive(&scenario.schema));
+    let mut indexed = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     let schema = scenario.schema.clone();
     let health = schema.attr_id("health").unwrap();
     let cooldown = schema.attr_id("cooldown").unwrap();
@@ -60,8 +60,8 @@ fn naive_and_indexed_battles_agree_on_integer_state() {
 #[test]
 fn indexed_battle_does_substantially_less_aggregate_work() {
     let scenario = scenario(120, 5);
-    let mut naive = scenario.build_simulation(ExecMode::Naive);
-    let mut indexed = scenario.build_simulation(ExecMode::Compiled);
+    let mut naive = scenario.build_with_config(ExecConfig::naive(&scenario.schema));
+    let mut indexed = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
     let ns = naive.run(2).unwrap();
     let is = indexed.run(2).unwrap();
     // Same number of per-unit aggregate probes are *requested*...
@@ -79,8 +79,8 @@ fn indexed_battle_does_substantially_less_aggregate_work() {
 fn battles_are_deterministic_for_a_fixed_seed() {
     let a = scenario(50, 123);
     let b = scenario(50, 123);
-    let mut sim_a = a.build_simulation(ExecMode::Compiled);
-    let mut sim_b = b.build_simulation(ExecMode::Compiled);
+    let mut sim_a = a.build_with_config(ExecConfig::indexed(&a.schema));
+    let mut sim_b = b.build_with_config(ExecConfig::indexed(&b.schema));
     for _ in 0..5 {
         sim_a.step().unwrap();
         sim_b.step().unwrap();
@@ -103,8 +103,9 @@ fn battles_are_deterministic_for_a_fixed_seed() {
 
 #[test]
 fn different_seeds_produce_different_battles() {
-    let mut sim_a = scenario(50, 1).build_simulation(ExecMode::Compiled);
-    let mut sim_b = scenario(50, 2).build_simulation(ExecMode::Compiled);
+    let (a, b) = (scenario(50, 1), scenario(50, 2));
+    let mut sim_a = a.build_with_config(ExecConfig::indexed(&a.schema));
+    let mut sim_b = b.build_with_config(ExecConfig::indexed(&b.schema));
     sim_a.run(3).unwrap();
     sim_b.run(3).unwrap();
     let posx = sim_a.table().schema().attr_id("posx").unwrap();
@@ -125,18 +126,33 @@ fn different_seeds_produce_different_battles() {
     assert_ne!(xs_a, xs_b);
 }
 
-/// The ISSUE-1 equivalence suite: naive, rebuild-indexed and
-/// incrementally-maintained executors must produce identical effect
-/// relations and state digests on seeded battle scenarios across long runs.
+/// The backend equivalence suite: the naive executor and every forced
+/// backend — per-tick rebuilt, incrementally maintained and materialized —
+/// must produce identical effect relations and state digests on seeded
+/// battle scenarios across long runs.
 mod backend_equivalence {
     use sgl::battle::{BattleScenario, ScenarioConfig};
     use sgl::engine::replay::StateDigest;
-    use sgl::exec::{ExecConfig, MaintenancePolicy, RebuildBackend};
+    use sgl::env::Schema;
+    use sgl::exec::{ExecConfig, PhysicalBackend, PlannerMode};
 
     const TICKS: usize = 50;
 
+    /// The naive baseline first, then one forced backend per row.
+    fn configs(schema: &Schema) -> Vec<(&'static str, ExecConfig)> {
+        let forced =
+            |backend| ExecConfig::indexed(schema).with_planner(PlannerMode::Force(backend));
+        vec![
+            ("naive", ExecConfig::naive(schema)),
+            ("layered-tree", ExecConfig::indexed(schema)),
+            ("quadtree", forced(PhysicalBackend::QuadTree)),
+            ("grid", forced(PhysicalBackend::MaintainedGrid)),
+            ("materialized", forced(PhysicalBackend::Materialized)),
+        ]
+    }
+
     fn digests_for(scenario: &BattleScenario, config: ExecConfig, label: &str) -> Vec<StateDigest> {
-        let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Compiled);
+        let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
         sim.set_exec_config(config).unwrap();
         (0..TICKS)
             .map(|tick| {
@@ -154,41 +170,16 @@ mod backend_equivalence {
             seed,
             ..ScenarioConfig::default()
         });
-        let schema = scenario.schema.clone();
-        let naive = digests_for(&scenario, ExecConfig::naive(&schema), "naive");
-        let rebuild = digests_for(&scenario, ExecConfig::indexed(&schema), "rebuild");
-        let quadtree = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_backend(RebuildBackend::QuadTree),
-            "rebuild/quadtree",
-        );
-        let incremental = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-            "incremental",
-        );
-        let adaptive = digests_for(
-            &scenario,
-            ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::adaptive()),
-            "adaptive",
-        );
-        for tick in 0..TICKS {
-            assert_eq!(
-                naive[tick], rebuild[tick],
-                "seed {seed}: naive vs rebuild at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], quadtree[tick],
-                "seed {seed}: naive vs quadtree at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], incremental[tick],
-                "seed {seed}: naive vs incremental at tick {tick}"
-            );
-            assert_eq!(
-                naive[tick], adaptive[tick],
-                "seed {seed}: naive vs adaptive at tick {tick}"
-            );
+        let configs = configs(&scenario.schema);
+        let naive = digests_for(&scenario, configs[0].1, configs[0].0);
+        for (label, config) in &configs[1..] {
+            let digests = digests_for(&scenario, *config, label);
+            for tick in 0..TICKS {
+                assert_eq!(
+                    naive[tick], digests[tick],
+                    "seed {seed}: naive vs {label} at tick {tick}"
+                );
+            }
         }
     }
 
@@ -208,8 +199,8 @@ mod backend_equivalence {
     }
 
     /// The ISSUE-2 parallel-equivalence suite: the sharded executor must be
-    /// a pure performance knob — at 2 and 4 worker threads every maintenance
-    /// policy (and the naive baseline) produces **bit-identical**
+    /// a pure performance knob — at 2 and 4 worker threads every forced
+    /// backend (and the naive baseline) produces **bit-identical**
     /// `StateDigest`s to serial execution, tick for tick, on the same seeded
     /// battles the backend suite uses.
     mod parallel {
@@ -223,24 +214,7 @@ mod backend_equivalence {
                 seed,
                 ..ScenarioConfig::default()
             });
-            let schema = scenario.schema.clone();
-            let configs: Vec<(&'static str, ExecConfig)> = vec![
-                ("naive", ExecConfig::naive(&schema)),
-                ("rebuild", ExecConfig::indexed(&schema)),
-                (
-                    "rebuild/quadtree",
-                    ExecConfig::indexed(&schema).with_backend(RebuildBackend::QuadTree),
-                ),
-                (
-                    "incremental",
-                    ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental),
-                ),
-                (
-                    "adaptive",
-                    ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::adaptive()),
-                ),
-            ];
-            for (label, config) in configs {
+            for (label, config) in configs(&scenario.schema) {
                 let serial = digests_for(
                     &scenario,
                     config.with_parallelism(Parallelism::Off),
@@ -292,7 +266,7 @@ mod backend_equivalence {
         });
         let schema = scenario.schema.clone();
         let make = |config: ExecConfig| -> Simulation {
-            let mut sim = scenario.build_simulation(sgl::exec::ExecMode::Compiled);
+            let mut sim = scenario.build_with_config(ExecConfig::indexed(&scenario.schema));
             sim.set_exec_config(config).unwrap();
             sim
         };
@@ -300,8 +274,11 @@ mod backend_equivalence {
             ("naive", make(ExecConfig::naive(&schema))),
             ("rebuild", make(ExecConfig::indexed(&schema))),
             (
-                "incremental",
-                make(ExecConfig::indexed(&schema).with_policy(MaintenancePolicy::Incremental)),
+                "grid",
+                make(
+                    ExecConfig::indexed(&schema)
+                        .with_planner(PlannerMode::Force(PhysicalBackend::MaintainedGrid)),
+                ),
             ),
         ];
         for tick in 0..20 {

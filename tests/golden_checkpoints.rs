@@ -8,7 +8,7 @@
 //!   encodings and every EWMA in them are deterministic — including under
 //!   `SGL_PARALLELISM=4`, because the statistics pipeline merges shard
 //!   observations deterministically);
-//! * **resume portability** — every configuration of the 27-entry lattice
+//! * **resume portability** — every configuration of the 18-entry lattice
 //!   resumes the committed checkpoint and reproduces ticks 10..20 of the
 //!   *golden digest corpus* (`tests/golden/<preset>.digests`, owned by
 //!   `tests/golden_digests.rs`) bit for bit.  The two golden corpora

@@ -88,7 +88,8 @@ fn apply_random_op(rng: &mut TestRng, tables: &mut [&mut EnvTable; 2], op_no: us
             let modulus = 3 + rng.below(5) as i64;
             let victim = rng.below(modulus as usize) as i64;
             for t in tables.iter_mut() {
-                t.remove_where(|row| row.get_i64(0).unwrap().rem_euclid(modulus) == victim);
+                t.remove_where(|row| row.get_i64(0).unwrap().rem_euclid(modulus) == victim)
+                    .unwrap();
             }
         }
         // Effect-column reset (the per-tick fast path).

@@ -69,7 +69,7 @@ fn long_horizon_soak_with_seeded_checkpoints() {
 /// extremum died must recompute, never serve a stale fold.
 #[test]
 fn materialized_soak_under_support_invalidation_churn() {
-    use sgl::exec::{ExecConfig, PlannerMode};
+    use sgl::exec::{ExecConfig, PhysicalBackend, PlannerMode};
     use sgl_testkit::ConformanceCase;
 
     let ticks = (tick_budget() / 2).max(40);
@@ -79,8 +79,8 @@ fn materialized_soak_under_support_invalidation_churn() {
         case.resurrect = true; // deaths respawn and keep the churn going
         let schema = case.world.schema.clone();
 
-        let mat_config =
-            ExecConfig::cost_based(&schema).with_planner(PlannerMode::ForceMaterialized);
+        let mat_config = ExecConfig::indexed(&schema)
+            .with_planner(PlannerMode::Force(PhysicalBackend::Materialized));
         let mut oracle = case.build(ExecConfig::oracle(&schema));
         let mut mat = case.build(mat_config);
 
